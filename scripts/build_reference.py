@@ -2,8 +2,9 @@
 """Rebuild the shipped reference list of biclique graphs on 2..6 vertices.
 
 Runs the library's exhaustive preimage sweep over every connected host on
-up to 9 vertices, ``positive_preimages(6, 9)`` (20-23 minutes on a 2-vCPU
-machine, serial), and writes two files into the fixtures directory:
+up to 9 vertices, ``positive_preimages(6, 9)``, on ``default_worker_count()``
+processes (``BICLIQUE_LAB_WORKERS``, else the CPU count; 20-23 minutes on
+one core), and writes two files into the fixtures directory:
 
 * ``biclique_graphs_up_to_6.g6``: one canonical graph6 per line, after a
   ``#`` header that records how the file was made;
@@ -24,7 +25,11 @@ from pathlib import Path
 
 from biclique_lab import __version__
 from biclique_lab.graphs import parse_graph6, write_graph6
-from biclique_lab.recognition import default_reference_path, positive_preimages
+from biclique_lab.recognition import (
+    default_reference_path,
+    default_worker_count,
+    positive_preimages,
+)
 
 MAX_G_ORDER = 6
 MAX_H_ORDER = 9
@@ -35,7 +40,7 @@ def main() -> int:
     parser.add_argument("--out", default=str(default_reference_path().parent))
     args = parser.parse_args()
 
-    positives = positive_preimages(MAX_G_ORDER, MAX_H_ORDER)
+    positives = positive_preimages(MAX_G_ORDER, MAX_H_ORDER, workers=default_worker_count())
     keys = sorted(positives, key=lambda key: (parse_graph6(key).n, key))
     by_order = Counter(parse_graph6(key).n for key in keys)
 

@@ -33,6 +33,8 @@ def main() -> int:
     parser.add_argument("--out", default="out/catalogue")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
 
     entries = build_catalogue(args.max_g_order, args.max_h_order, workers=args.workers)
     paths = write_catalogue(entries, args.out)

@@ -191,16 +191,21 @@ def enumerate_bicliques(g: Graph) -> BicliqueFamily:
     return BicliqueFamily(g, bicliques)
 
 
+def _intersection_graph(masks: list[int]) -> Graph:
+    # One vertex per mask, adjacent when the masks meet.
+    size = len(masks)
+    adj = [0] * size
+    for i, j in combinations(range(size), 2):
+        if masks[i] & masks[j]:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph._raw(size, tuple(adj))
+
+
 def biclique_graph(g: Graph) -> tuple[Graph, BicliqueFamily]:
     """KB(g): one vertex per biclique, edges between intersecting ones."""
     family = enumerate_bicliques(g)
-    size = len(family)
-    adj = [0] * size
-    for i, j in combinations(range(size), 2):
-        if family[i].mask & family[j].mask:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph._raw(size, tuple(adj)), family
+    return _intersection_graph([b.mask for b in family]), family
 
 
 def biclique_graph_with_limit(g: Graph, max_order: int) -> tuple[Graph, None] | tuple[None, None]:
@@ -215,11 +220,4 @@ def biclique_graph_with_limit(g: Graph, max_order: int) -> tuple[Graph, None] | 
     if masks is None:
         return None, None
     masks.sort(key=lambda m: tuple(_bits(m)))
-    size = len(masks)
-    adj = [0] * size
-    for i in range(size):
-        for j in range(i + 1, size):
-            if masks[i] & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph._raw(size, tuple(adj)), None
+    return _intersection_graph(masks), None

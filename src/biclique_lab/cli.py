@@ -4,16 +4,25 @@ Reads graph6 (one graph per line, '#' comments allowed) from files or stdin
 and exposes the library as composable subcommands:
 
   bicliques    list every biclique with its bipartition, plus KB(G)
-  kb           emit KB(G) as graph6
-  distance     per-pair biclique distance table (tsv or json)
-  check        obstruction battery, one JSON report per graph
-  recognize    exhaustive preimage search up to a bound
-  catalogue    build and persist the small-order catalogue
+               [--format tsv|json]
+  kb           emit KB(G) as graph6 [--legend]
+  distance     per-pair biclique distance table [--format tsv|json]
+  check        obstruction battery, one JSON report per graph [--invert-exit]
+  recognize    exhaustive preimage search up to a bound [--max-h-order]
+  catalogue    build and persist the small-order catalogue [--max-g-order,
+               --max-h-order, --out, --fixture, --workers, --strict]
   conjectures  scan catalogue positives for conjecture counterexamples
+               [--catalogue, --out, --i-max, --containment]
 
-Exit codes: 0 clean; 1 parse/input errors; 2 capability errors (size bounds);
-3 reference-fixture mismatch or, under --strict, a skipped comparison; 4 for
-``check`` when some graph is excluded (inverted by --invert-exit).
+Only ``catalogue`` runs worker processes: ``--workers N`` (N >= 1), else
+``BICLIQUE_LAB_WORKERS``, else the CPU count.
+
+Exit codes: 0 clean; 1 parse/input errors; 2 capability errors (size bounds,
+for every per-graph command and for ``catalogue``); 3 reference-fixture
+mismatch or, under --strict, a skipped comparison; 4 for ``check`` when some
+graph is excluded (inverted by --invert-exit) and for ``conjectures`` when a
+counterexample is found.  A per-graph command reports a bad line on stderr
+as ``source:line: message`` and goes on with the next line.
 All output is deterministic for a fixed command line and input.
 """
 
@@ -21,13 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bicliques import biclique_graph, enumerate_bicliques
+from .bicliques import biclique_graph
 from .conjectures import scan_certified_graphs
-from .distances import distance_reports, find_witnesses
+from .distances import distance_reports
 from .graphs import (
     CapabilityError,
     Graph,
@@ -56,32 +65,12 @@ EXIT_FIXTURE = 3
 EXIT_FLAGGED = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    output_format: str = "tsv"
-    max_g_order: int = 6
-    max_h_order: int = 8
-    i_max: int | None = None
-    containment: str = "exact"
-    workers: int = 1
-    fixture: str | None = None
-    strict: bool = False
-    invert_exit: bool = False
-    out_dir: str = "catalogue"
-    catalogue_dir: str | None = None
-    findings_out: str | None = None
-    legend: bool = False
-
-
 class _Status:
-    """Tracks the worst exit code seen; later codes take precedence."""
+    """What went wrong over a stream; the gravest kind sets the exit code."""
 
     def __init__(self) -> None:
         self.parse_error = False
         self.capability_error = False
-        self.fixture_mismatch = False
         self.flagged = False
 
     def code(self, invert: bool = False) -> int:
@@ -89,17 +78,14 @@ class _Status:
             return EXIT_CAPABILITY
         if self.parse_error:
             return EXIT_PARSE
-        if self.fixture_mismatch:
-            return EXIT_FIXTURE
         if self.flagged != invert:
             return EXIT_FLAGGED
         return EXIT_OK
 
 
-def _iter_input_graphs(config: RunConfig, status: _Status):
-    """Yield (source, line number, graph); report bad lines on stderr."""
-    paths = config.inputs or ["-"]
-    for path in paths:
+def _input_lines(paths: list[str]):
+    """Yield (source, line number, line) for each non-blank, non-comment line."""
+    for path in paths or ["-"]:
         if path == "-":
             handle = sys.stdin
             name = "<stdin>"
@@ -109,43 +95,40 @@ def _iter_input_graphs(config: RunConfig, status: _Status):
         try:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                try:
-                    graph = parse_graph6(stripped)
-                except CapabilityError as exc:
-                    status.capability_error = True
-                    print(f"{name}:{lineno}: {exc}", file=sys.stderr)
-                    continue
-                except Graph6Error as exc:
-                    status.parse_error = True
-                    print(f"{name}:{lineno}: {exc}", file=sys.stderr)
-                    continue
-                yield name, lineno, graph
+                if stripped and not stripped.startswith("#"):
+                    yield name, lineno, stripped
         finally:
             if handle is not sys.stdin:
                 handle.close()
 
 
-def _require_connected(graph: Graph, name: str, lineno: int, status: _Status) -> bool:
-    if is_connected(graph):
-        return True
-    status.parse_error = True
-    print(f"{name}:{lineno}: disconnected graph rejected", file=sys.stderr)
-    return False
+def _each_graph(paths: list[str], emit) -> _Status:
+    """Hand every connected input graph to ``emit``; a true return flags it.
 
-
-def _cmd_bicliques(config: RunConfig, status: _Status) -> int:
-    for name, lineno, graph in _iter_input_graphs(config, status):
-        if not _require_connected(graph, name, lineno, status):
-            continue
+    A line that fails is reported on stderr and skipped: size bounds count
+    as capability errors, everything else as parse errors.
+    """
+    status = _Status()
+    for name, lineno, line in _input_lines(paths):
         try:
-            kb, family = biclique_graph(graph)
-        except (GraphError, CapabilityError) as exc:
+            graph = parse_graph6(line)
+            if not is_connected(graph):
+                raise GraphError("disconnected graph rejected")
+            if emit(graph):
+                status.flagged = True
+        except CapabilityError as exc:
+            status.capability_error = True
+            print(f"{name}:{lineno}: {exc}", file=sys.stderr)
+        except (Graph6Error, GraphError) as exc:
             status.parse_error = True
             print(f"{name}:{lineno}: {exc}", file=sys.stderr)
-            continue
-        if config.output_format == "json":
+    return status
+
+
+def _cmd_bicliques(args: argparse.Namespace) -> int:
+    def emit(graph: Graph) -> None:
+        kb, family = biclique_graph(graph)
+        if args.output_format == "json":
             payload = {
                 "schema": "bicliques/1",
                 "graph6": write_graph6(graph),
@@ -163,42 +146,27 @@ def _cmd_bicliques(config: RunConfig, status: _Status) -> int:
                 vertices = ",".join(map(str, b.vertices))
                 print(f"{index}\t{{{vertices}}}\t{list(a)}|{list(c)}")
             print(f"kb\t{write_graph6(kb)}")
-    return status.code()
+
+    return _each_graph(args.inputs, emit).code()
 
 
-def _cmd_kb(config: RunConfig, status: _Status) -> int:
-    for name, lineno, graph in _iter_input_graphs(config, status):
-        if not _require_connected(graph, name, lineno, status):
-            continue
-        try:
-            kb, family = biclique_graph(graph)
-        except (GraphError, CapabilityError) as exc:
-            status.parse_error = True
-            print(f"{name}:{lineno}: {exc}", file=sys.stderr)
-            continue
-        if config.legend:
+def _cmd_kb(args: argparse.Namespace) -> int:
+    def emit(graph: Graph) -> None:
+        kb, family = biclique_graph(graph)
+        if args.legend:
             for index, b in enumerate(family):
                 print(f"# {index}: {{{','.join(map(str, b.vertices))}}}")
         print(write_graph6(kb))
-    return status.code()
+
+    return _each_graph(args.inputs, emit).code()
 
 
-def _cmd_distance(config: RunConfig, status: _Status) -> int:
-    for name, lineno, graph in _iter_input_graphs(config, status):
-        if not _require_connected(graph, name, lineno, status):
-            continue
+def _cmd_distance(args: argparse.Namespace) -> int:
+    def emit(graph: Graph) -> None:
         g6 = write_graph6(graph)
-        try:
-            family = enumerate_bicliques(graph)
-        except (GraphError, CapabilityError) as exc:
-            status.parse_error = True
-            print(f"{name}:{lineno}: {exc}", file=sys.stderr)
-            continue
-        reports = distance_reports(graph)
-        for report in reports:
-            witnesses = find_witnesses(graph, family, report.i, report.j) if report.d_g > 0 else None
-            count = len(witnesses.witnesses) if witnesses else None
-            if config.output_format == "json":
+        for report in distance_reports(graph):
+            count = report.witness_count
+            if args.output_format == "json":
                 payload = {
                     "schema": "biclique-distance/1",
                     "graph6": g6,
@@ -216,48 +184,43 @@ def _cmd_distance(config: RunConfig, status: _Status) -> int:
                     f"{g6}\t{report.i}\t{report.j}\t{report.d_g}\t{report.d_kb}"
                     f"\t{report.formula_value}\t{'' if count is None else count}"
                 )
-    return status.code()
+
+    return _each_graph(args.inputs, emit).code()
 
 
-def _cmd_check(config: RunConfig, status: _Status) -> int:
-    for name, lineno, graph in _iter_input_graphs(config, status):
-        if not _require_connected(graph, name, lineno, status):
-            continue
+def _cmd_check(args: argparse.Namespace) -> int:
+    def emit(graph: Graph) -> bool:
         report = classify(graph)
-        if report.excluded:
-            status.flagged = True
         print(report.to_json_line())
-    return status.code(invert=config.invert_exit)
+        return report.excluded
+
+    return _each_graph(args.inputs, emit).code(invert=args.invert_exit)
 
 
-def _cmd_recognize(config: RunConfig, status: _Status) -> int:
-    for name, lineno, graph in _iter_input_graphs(config, status):
-        if not _require_connected(graph, name, lineno, status):
-            continue
+def _cmd_recognize(args: argparse.Namespace) -> int:
+    def emit(graph: Graph) -> None:
+        host = search_preimage(graph, args.max_h_order)
+        found = "none" if host is None else write_graph6(host)
+        print(f"{write_graph6(graph)}\t{found}\t{args.max_h_order}")
+
+    return _each_graph(args.inputs, emit).code()
+
+
+def _cmd_catalogue(args: argparse.Namespace) -> int:
+    workers = args.workers
+    if workers is None:
         try:
-            host = search_preimage(graph, config.max_h_order)
-        except CapabilityError as exc:
-            status.capability_error = True
-            print(f"{name}:{lineno}: {exc}", file=sys.stderr)
-            continue
-        g6 = write_graph6(graph)
-        if host is None:
-            print(f"{g6}\tnone\t{config.max_h_order}")
-        else:
-            print(f"{g6}\t{write_graph6(host)}\t{config.max_h_order}")
-    return status.code()
-
-
-def _cmd_catalogue(config: RunConfig, status: _Status) -> int:
+            workers = default_worker_count()
+        except ValueError:
+            value = os.environ.get("BICLIQUE_LAB_WORKERS")
+            print(f"BICLIQUE_LAB_WORKERS must be an integer, got {value!r}", file=sys.stderr)
+            return EXIT_PARSE
     try:
-        entries = build_catalogue(
-            config.max_g_order, config.max_h_order, workers=config.workers
-        )
+        entries = build_catalogue(args.max_g_order, args.max_h_order, workers=workers)
     except CapabilityError as exc:
-        status.capability_error = True
         print(str(exc), file=sys.stderr)
-        return status.code()
-    paths = write_catalogue(entries, config.out_dir)
+        return EXIT_CAPABILITY
+    paths = write_catalogue(entries, args.out_dir)
     totals: dict[str, int] = {}
     for entry in entries:
         totals[entry.classification] = totals.get(entry.classification, 0) + 1
@@ -266,52 +229,46 @@ def _cmd_catalogue(config: RunConfig, status: _Status) -> int:
     for path in paths:
         print(f"wrote\t{path}")
 
-    fixture = config.fixture
-    if fixture is None and config.max_g_order == 6:
+    fixture = args.fixture
+    if fixture is None and args.max_g_order == 6:
         default = default_reference_path()
         fixture = str(default) if default.exists() else None
+    skipped = EXIT_FIXTURE if args.strict else EXIT_OK
     if fixture is None:
         print("warning: no reference fixture; comparison skipped", file=sys.stderr)
-        if config.strict:
-            status.fixture_mismatch = True
-        return status.code()
+        return skipped
     if not Path(fixture).exists():
         print(f"warning: fixture {fixture} not found; comparison skipped", file=sys.stderr)
-        if config.strict:
-            status.fixture_mismatch = True
-        return status.code()
+        return skipped
     comparison = compare_with_reference(entries, fixture)
     if comparison.matches:
         print("reference\tmatch")
-    else:
-        status.fixture_mismatch = True
-        for key in comparison.missing:
-            print(f"reference\tmissing-positive\t{key}")
-        for key in comparison.extra:
-            print(f"reference\textra-positive\t{key}")
-    return status.code()
+        return EXIT_OK
+    for key in comparison.missing:
+        print(f"reference\tmissing-positive\t{key}")
+    for key in comparison.extra:
+        print(f"reference\textra-positive\t{key}")
+    return EXIT_FIXTURE
 
 
-def _cmd_conjectures(config: RunConfig, status: _Status) -> int:
-    directory = config.catalogue_dir or config.out_dir
-    entries = load_catalogue(directory)
+def _cmd_conjectures(args: argparse.Namespace) -> int:
+    entries = load_catalogue(args.catalogue_dir)
     if not entries:
-        print(f"no catalogue entries under {directory}", file=sys.stderr)
-        status.parse_error = True
-        return status.code()
+        print(f"no catalogue entries under {args.catalogue_dir}", file=sys.stderr)
+        return EXIT_PARSE
     certified = [
         (entry.graph6, entry.graph)
         for entry in entries
         if entry.classification == BICLIQUE_GRAPH
     ]
     findings = scan_certified_graphs(
-        certified, i_max=config.i_max, containment=config.containment
+        certified, i_max=args.i_max, containment=args.containment
     )
     lines = [json.dumps(f.to_json(), separators=(",", ":")) for f in findings]
-    if config.findings_out:
-        with open(config.findings_out, "w") as handle:
+    if args.findings_out:
+        with open(args.findings_out, "w") as handle:
             handle.write("\n".join(lines) + ("\n" if lines else ""))
-        print(f"wrote\t{config.findings_out}")
+        print(f"wrote\t{args.findings_out}")
     else:
         for line in lines:
             print(line)
@@ -322,19 +279,15 @@ def _cmd_conjectures(config: RunConfig, status: _Status) -> int:
     for (conjecture, verdict), count in sorted(counter.items()):
         print(f"{conjecture}\t{verdict}\t{count}")
     if any(f.verdict == "counterexample" for f in findings):
-        status.flagged = True
-    return status.code(invert=False)
+        return EXIT_FLAGGED
+    return EXIT_OK
 
 
-_COMMANDS = {
-    "bicliques": _cmd_bicliques,
-    "kb": _cmd_kb,
-    "distance": _cmd_distance,
-    "check": _cmd_check,
-    "recognize": _cmd_recognize,
-    "catalogue": _cmd_catalogue,
-    "conjectures": _cmd_conjectures,
-}
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,38 +297,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, inputs: bool = True) -> None:
+    def command(name: str, help: str, run, inputs: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         if inputs:
             p.add_argument("inputs", nargs="*", help="graph6 files ('-' or empty: stdin)")
-        p.add_argument("--format", dest="output_format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--workers", type=int, default=None, help="worker processes")
-        p.add_argument("--strict", action="store_true", help="treat warnings as errors")
+        return p
 
-    p = sub.add_parser("bicliques", help="list bicliques and KB(G)")
-    add_common(p)
-    p = sub.add_parser("kb", help="emit KB(G) as graph6")
-    add_common(p)
+    p = command("bicliques", "list bicliques and KB(G)", _cmd_bicliques)
+    p.add_argument("--format", dest="output_format", choices=("tsv", "json"), default="tsv")
+    p = command("kb", "emit KB(G) as graph6", _cmd_kb)
     p.add_argument("--legend", action="store_true", help="print '# index: vertices' lines")
-    p = sub.add_parser("distance", help="per-pair biclique distance table")
-    add_common(p)
-    p = sub.add_parser("check", help="obstruction battery reports")
-    add_common(p)
+    p = command("distance", "per-pair biclique distance table", _cmd_distance)
+    p.add_argument("--format", dest="output_format", choices=("tsv", "json"), default="tsv")
+    p = command("check", "obstruction battery reports", _cmd_check)
     p.add_argument(
         "--invert-exit",
         action="store_true",
         help="exit 4 when no graph is excluded (for filtering pipelines)",
     )
-    p = sub.add_parser("recognize", help="search for a preimage H with KB(H) = G")
-    add_common(p)
+    p = command("recognize", "search for a preimage H with KB(H) = G", _cmd_recognize)
     p.add_argument("--max-h-order", type=int, default=8)
-    p = sub.add_parser("catalogue", help="build the small-order catalogue")
-    add_common(p, inputs=False)
+    p = command("catalogue", "build the small-order catalogue", _cmd_catalogue, inputs=False)
     p.add_argument("--max-g-order", type=int, default=6)
     p.add_argument("--max-h-order", type=int, default=8)
     p.add_argument("--out", dest="out_dir", default="catalogue")
     p.add_argument("--fixture", help="reference graph6 list to compare against")
-    p = sub.add_parser("conjectures", help="scan catalogue positives")
-    add_common(p, inputs=False)
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help="worker processes (default: BICLIQUE_LAB_WORKERS, else the CPU count)",
+    )
+    p.add_argument(
+        "--strict", action="store_true", help="fail when the reference comparison is skipped"
+    )
+    p = command("conjectures", "scan catalogue positives", _cmd_conjectures, inputs=False)
     p.add_argument("--catalogue", dest="catalogue_dir", required=True)
     p.add_argument("--out", dest="findings_out", help="findings JSONL path")
     p.add_argument("--i-max", dest="i_max", type=int, default=None)
@@ -383,34 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    workers = args.workers if getattr(args, "workers", None) else default_worker_count()
-    per_graph = args.command in ("bicliques", "kb", "distance", "check", "recognize")
-    return RunConfig(
-        command=args.command,
-        inputs=list(getattr(args, "inputs", []) or []),
-        output_format=getattr(args, "output_format", "tsv"),
-        max_g_order=getattr(args, "max_g_order", 6),
-        max_h_order=getattr(args, "max_h_order", 8),
-        i_max=getattr(args, "i_max", None),
-        containment=getattr(args, "containment", "exact"),
-        workers=1 if per_graph else workers,
-        fixture=getattr(args, "fixture", None),
-        strict=getattr(args, "strict", False),
-        invert_exit=getattr(args, "invert_exit", False),
-        out_dir=getattr(args, "out_dir", "catalogue"),
-        catalogue_dir=getattr(args, "catalogue_dir", None),
-        findings_out=getattr(args, "findings_out", None),
-        legend=getattr(args, "legend", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    status = _Status()
     try:
-        return _COMMANDS[config.command](config, status)
+        return args.run(args)
     except CapabilityError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAPABILITY

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .graphs import Graph, CapabilityError, GraphError, _bits, is_connected
+from .obstructions import _is_diamond
 
 #: Full-subfamily Helly checks are exponential in the family size.
 MAX_HELLY_FAMILY = 16
@@ -188,7 +189,7 @@ def check_generalized_twins(
     """Counterexample only when the configuration sits in a certified
     biclique graph; the diamond is exempt by hypothesis."""
     _require_connected(g)
-    if g.n == 4 and g.degree_sequence() == (2, 2, 3, 3) and g.edge_count() == 5:
+    if _is_diamond(g):
         return ConjectureFinding(
             "generalized-twins", graph6, "not-applicable", note="the diamond is exempt"
         )

@@ -30,6 +30,8 @@ class BicliqueDistanceReport:
 
     ``formula_value`` is floor((d_g + 1)/2) + 1 and must equal ``d_kb``.
     ``closest_pair`` is one (vertex in B_i, vertex in B_j) realising d_g.
+    ``witness_count`` is the size of the pair's witness set (see
+    ``find_witnesses``), or None for an overlapping pair (d_g == 0).
     """
 
     i: int
@@ -38,6 +40,7 @@ class BicliqueDistanceReport:
     d_kb: int
     formula_value: int
     closest_pair: tuple[int, int]
+    witness_count: int | None
 
     @property
     def holds(self) -> bool:
@@ -102,12 +105,25 @@ def closest_vertex_pair(g: Graph, family: BicliqueFamily, i: int, j: int) -> tup
 
 
 def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
-    """One report per unordered pair of distinct bicliques of ``g``."""
+    """One report per unordered pair of distinct bicliques of ``g``.
+
+    Every pair's biclique distance is computed once into an F x F matrix,
+    from which the witness counts are read.
+    """
     kb, family = biclique_graph(g)
-    kb_dist = [distances_from(kb, 1 << i) for i in range(kb.n)]
+    size = len(family)
+    kb_dist = [distances_from(kb, 1 << i) for i in range(size)]
+    d = [[0] * size for _ in range(size)]
+    for i, j in combinations(range(size), 2):
+        d[i][j] = d[j][i] = biclique_distance(g, family, i, j)
     reports = []
-    for i, j in combinations(range(len(family)), 2):
-        d_g = biclique_distance(g, family, i, j)
+    for i, j in combinations(range(size), 2):
+        d_g = d[i][j]
+        witness_count = None
+        if d_g > 0:
+            witness_count = sum(
+                1 for w in range(size) if w not in (i, j) and d[w][i] < d_g and d[w][j] < d_g
+            )
         reports.append(
             BicliqueDistanceReport(
                 i=i,
@@ -116,6 +132,7 @@ def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
                 d_kb=int(kb_dist[i][j]),
                 formula_value=(d_g + 1) // 2 + 1,
                 closest_pair=closest_vertex_pair(g, family, i, j),
+                witness_count=witness_count,
             )
         )
     return reports

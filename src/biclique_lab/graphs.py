@@ -452,20 +452,28 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # exhaustive generation
 
 
+def _augmentations(parent: Graph) -> Iterator[Graph]:
+    """``parent`` plus one new vertex, once per nonempty neighbourhood.
+
+    Every connected graph on n vertices is some connected graph on n-1
+    vertices plus one vertex joined to a nonempty neighbourhood (delete any
+    non-cut vertex to see this), so augmenting connected parents is complete.
+    """
+    n = parent.n
+    for mask in range(1, 1 << n):
+        adj = list(parent.adj) + [mask]
+        for u in _bits(mask):
+            adj[u] |= 1 << n
+        yield Graph._raw(n + 1, tuple(adj))
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
     seen: dict[str, Graph] = {}
-    # Every connected graph on n vertices is some connected graph on n-1
-    # vertices plus one vertex joined to a nonempty neighbourhood (delete any
-    # non-cut vertex to see this), so augmenting connected parents is complete.
     for parent in _connected_classes(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            adj = list(parent.adj) + [mask]
-            for u in _bits(mask):
-                adj[u] |= 1 << (n - 1)
-            child = Graph._raw(n, tuple(adj))
+        for child in _augmentations(parent):
             key = canonical_form(child)
             if key not in seen:
                 seen[key] = canonical_graph(child)

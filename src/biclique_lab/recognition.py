@@ -17,8 +17,12 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
+from multiprocessing import get_context
 from pathlib import Path
 
 from .bicliques import biclique_graph, biclique_graph_with_limit
@@ -26,6 +30,7 @@ from .graphs import (
     CapabilityError,
     Graph,
     GraphError,
+    _augmentations,
     canonical_form,
     enumerate_connected_graphs,
     is_connected,
@@ -39,6 +44,12 @@ from .obstructions import CHECK_NAMES, classify
 #: connected graph appears (possibly repeatedly), which keeps the search
 #: exhaustive over isomorphism classes without materialising the classes.
 MAX_PREIMAGE_ORDER = 9
+
+#: Hosts per unit of work in ``positive_preimages``.
+_CHUNK_SIZE = 256
+
+#: Chunks submitted to the pool and not yet merged, at most.
+_CHUNKS_IN_FLIGHT = 16
 
 BICLIQUE_GRAPH = "biclique-graph"
 NOT_BICLIQUE_GRAPH = "not-biclique-graph"
@@ -99,7 +110,7 @@ def _check_bounds(max_g_order: int, max_h_order: int) -> None:
         raise CapabilityError("catalogue needs max_g_order >= 2")
 
 
-def _hosts_of_order(n: int):
+def _hosts_of_order(n: int) -> Iterator[Graph]:
     """Connected hosts on n vertices: isomorphism-class representatives for
     n <= 8, and for n == 9 every augmentation of the 8-vertex corpus by one
     vertex with a nonempty neighbourhood (covers all classes, with
@@ -107,14 +118,8 @@ def _hosts_of_order(n: int):
     if n <= 8:
         yield from enumerate_connected_graphs(n)
         return
-    from .graphs import _bits
-
     for parent in enumerate_connected_graphs(8):
-        for mask in range(1, 1 << 8):
-            adj = list(parent.adj) + [mask]
-            for u in _bits(mask):
-                adj[u] |= 1 << 8
-            yield Graph._raw(9, tuple(adj))
+        yield from _augmentations(parent)
 
 
 def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
@@ -138,57 +143,56 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     return None
 
 
-def _positives_chunk(args: tuple[int, list[tuple[int, tuple[int, ...]]]]) -> list[tuple[str, int]]:
+def _positives_chunk(args: tuple[int, list[tuple[int, ...]]]) -> list[str | None]:
+    """Per host adjacency: canonical KB(H) when 2 <= |KB(H)| <= max_g_order,
+    else None."""
     max_g_order, hosts = args
-    out = []
-    for index, adj in hosts:
-        host = Graph._raw(len(adj), adj)
-        kb, _ = biclique_graph_with_limit(host, max_g_order)
-        if kb is None or kb.n < 2:
-            continue
-        out.append((canonical_form(kb), index))
+    out: list[str | None] = []
+    for adj in hosts:
+        kb, _ = biclique_graph_with_limit(Graph._raw(len(adj), adj), max_g_order)
+        out.append(None if kb is None or kb.n < 2 else canonical_form(kb))
     return out
+
+
+def _host_chunks(max_h_order: int) -> Iterator[list[tuple[int, ...]]]:
+    """Adjacency tuples of every host on 2..max_h_order vertices, in
+    generation order, _CHUNK_SIZE at a time."""
+    hosts = (host.adj for n in range(2, max_h_order + 1) for host in _hosts_of_order(n))
+    while chunk := list(islice(hosts, _CHUNK_SIZE)):
+        yield chunk
 
 
 def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> dict[str, Graph]:
     """canonical form of KB(H) -> first H realising it, over all connected H.
 
-    Covers every class with 2 <= |KB(H)| <= max_g_order.  With workers > 1
-    the host space is partitioned; the merge keeps the least generation
-    index per class, so the result does not depend on scheduling.
+    Covers every class with 2 <= |KB(H)| <= max_g_order.  Hosts stream in
+    fixed-size chunks; with workers > 1 a process pool maps the chunks, at
+    most _CHUNKS_IN_FLIGHT at a time.  Results merge in chunk order, so the
+    first host in generation order wins whatever the scheduling.
     """
     _check_bounds(max_g_order, max_h_order)
-    if max_h_order >= 9:
-        # too many order-9 candidates to materialise; stream them serially
-        out: dict[str, Graph] = {}
-        for n in range(2, max_h_order + 1):
-            for host in _hosts_of_order(n):
-                kb, _ = biclique_graph_with_limit(host, max_g_order)
-                if kb is None or kb.n < 2:
-                    continue
-                out.setdefault(canonical_form(kb), host)
+    out: dict[str, Graph] = {}
+
+    def merge(chunk: list[tuple[int, ...]], keys: list[str | None]) -> None:
+        for adj, key in zip(chunk, keys):
+            if key is not None:
+                out.setdefault(key, Graph._raw(len(adj), adj))
+
+    chunks = _host_chunks(max_h_order)
+    if workers == 1:
+        for chunk in chunks:
+            merge(chunk, _positives_chunk((max_g_order, chunk)))
         return out
-    hosts: list[Graph] = []
-    for n in range(2, max_h_order + 1):
-        hosts.extend(_hosts_of_order(n))
-    indexed = list(enumerate(host.adj for host in hosts))
-    if workers > 1:
-        chunk_size = max(64, len(indexed) // (workers * 8) + 1)
-        chunks = [
-            (max_g_order, indexed[i : i + chunk_size])
-            for i in range(0, len(indexed), chunk_size)
-        ]
-        results: list[tuple[str, int]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_positives_chunk, chunks):
-                results.extend(part)
-    else:
-        results = _positives_chunk((max_g_order, indexed))
-    best: dict[str, int] = {}
-    for key, index in results:
-        if key not in best or index < best[key]:
-            best[key] = index
-    return {key: hosts[index] for key, index in best.items()}
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        pending: deque = deque()
+        for chunk in chunks:
+            pending.append((chunk, pool.submit(_positives_chunk, (max_g_order, chunk))))
+            if len(pending) >= _CHUNKS_IN_FLIGHT:
+                chunk, future = pending.popleft()
+                merge(chunk, future.result())
+        for chunk, future in pending:
+            merge(chunk, future.result())
+    return out
 
 
 def default_worker_count() -> int:

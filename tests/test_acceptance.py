@@ -23,6 +23,7 @@ from biclique_lab.conjectures import (
 )
 from biclique_lab.distances import (
     biclique_distance,
+    distance_reports,
     find_witnesses,
     link_companions,
     verify_distance_formula,
@@ -149,12 +150,18 @@ def test_criterion_2_witnesses_and_companions():
         for g in enumerate_connected_graphs(n):
             family = enumerate_bicliques(g)
             size = len(family)
+            reports = {(r.i, r.j): r for r in distance_reports(g)}
             for i in range(size):
                 for j in range(i + 1, size):
                     k = biclique_distance(g, family, i, j)
+                    assert reports[(i, j)].d_g == k, (write_graph6(g), i, j)
                     if k == 0:
+                        assert reports[(i, j)].witness_count is None, (write_graph6(g), i, j)
                         continue
                     witnesses = find_witnesses(g, family, i, j)
+                    assert reports[(i, j)].witness_count == len(witnesses.witnesses), (
+                        write_graph6(g), i, j
+                    )
                     assert len(witnesses.witnesses) >= k + 1, (write_graph6(g), i, j)
                     for w in witnesses.witnesses:
                         assert max(witnesses.distances[w]) <= k - 1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from biclique_lab.cli import (
     EXIT_CAPABILITY,
     EXIT_FIXTURE,
@@ -329,3 +331,74 @@ class TestEnvironmentWorkerDefault:
 
         monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "3")
         assert default_worker_count() == 3
+
+    def test_malformed_env_is_a_one_line_catalogue_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "abc")
+        code, out, err = run(
+            capsys,
+            ["catalogue", "--max-g-order", "3", "--max-h-order", "4", "--out", str(tmp_path / "cat")],
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.count("\n") == 1 and "BICLIQUE_LAB_WORKERS" in err and "'abc'" in err
+        assert not (tmp_path / "cat").exists()
+
+    def test_malformed_env_is_ignored_outside_catalogue(self, capsys, monkeypatch):
+        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "abc")
+        code, out, err = run(capsys, ["kb"], stdin="Bw\n", monkeypatch=monkeypatch)
+        assert code == EXIT_OK and out == "Bw\n" and err == ""
+
+    def test_workers_flag_wins_over_a_malformed_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "abc")
+        code, out, err = run(
+            capsys,
+            ["catalogue", "--max-g-order", "3", "--max-h-order", "4", "--out", str(tmp_path / "cat"),
+             "--workers", "1"],
+        )
+        assert code == EXIT_OK and "wrote\t" in out
+
+
+class TestFlags:
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_workers_below_one_rejected(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalogue", "--out", str(tmp_path / "cat"), "--workers", value])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "cat").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kb", "--format", "json"],
+            ["check", "--format", "json"],
+            ["recognize", "--workers", "2"],
+            ["bicliques", "--strict"],
+            ["distance", "--workers", "1"],
+            ["conjectures", "--catalogue", "x", "--strict"],
+            ["conjectures", "--catalogue", "x", "--format", "json"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_not_accepted(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestCapabilityExitCodes:
+    @pytest.mark.parametrize("command", ["bicliques", "kb", "distance"])
+    def test_oversized_graph_exits_2_and_the_stream_goes_on(self, command, capsys, monkeypatch):
+        from biclique_lab.graphs import cycle_graph, path_graph
+
+        good = ["Bw", write_graph6(path_graph(4))]
+        code, out, err = run(
+            capsys,
+            [command],
+            stdin=f"{good[0]}\n{write_graph6(cycle_graph(21))}\n{good[1]}\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == EXIT_CAPABILITY
+        assert err.startswith("<stdin>:2: ") and err.count("\n") == 1
+        _, expected, _ = run(capsys, [command], stdin="\n".join(good) + "\n", monkeypatch=monkeypatch)
+        assert out == expected and len(expected.splitlines()) >= 2

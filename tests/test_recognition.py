@@ -14,6 +14,7 @@ from biclique_lab.recognition import (
     BICLIQUE_GRAPH,
     NOT_BICLIQUE_GRAPH,
     CatalogueEntry,
+    _host_chunks,
     build_catalogue,
     compare_with_reference,
     load_catalogue,
@@ -182,8 +183,10 @@ class TestDeterminism:
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
 
     def test_parallel_merge_agrees_with_serial(self):
-        serial = positive_preimages(3, 5, workers=1)
-        parallel = positive_preimages(3, 5, workers=2)
+        assert len(list(_host_chunks(7))) > 2  # 995 hosts on 2..7 vertices
+        serial = positive_preimages(6, 7, workers=1)
+        parallel = positive_preimages(6, 7, workers=2)
+        assert len(serial) > 10
         assert {k: write_graph6(v) for k, v in serial.items()} == {
             k: write_graph6(v) for k, v in parallel.items()
         }
