@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import combinations
 
-from .graphs import Graph, GraphError, CapabilityError, _bits, is_connected
+from .graphs import Graph, GraphError, CapabilityError, _bits, _require_connected
 
 #: Subset enumeration is exact but exponential; refuse beyond this order.
 MAX_HOST_ORDER = 20
@@ -148,11 +148,14 @@ def is_induced_complete_bipartite(
     return tuple(_bits(sides[0])), tuple(_bits(sides[1]))
 
 
-def _maximal_biclique_masks(g: Graph, stop_above: int | None = None) -> list[int] | None:
-    """Masks of all bicliques; None when the count exceeds ``stop_above``."""
+def _maximal_bicliques(
+    g: Graph, stop_above: int | None = None
+) -> list[tuple[int, int, int]] | None:
+    """(mask, side_a, side_b) of every biclique, side_a holding the lowest
+    vertex; None when the count exceeds ``stop_above``."""
     n = g.n
     adj = g.adj
-    found: list[int] = []
+    found: list[tuple[int, int, int]] = []
     for mask in range(3, 1 << n):
         if mask.bit_count() < 2:
             continue
@@ -168,7 +171,7 @@ def _maximal_biclique_masks(g: Graph, stop_above: int | None = None) -> list[int
                 maximal = False
                 break
         if maximal:
-            found.append(mask)
+            found.append((mask, side_a, side_b))
             if stop_above is not None and len(found) > stop_above:
                 return None
     return found
@@ -180,15 +183,8 @@ def enumerate_bicliques(g: Graph) -> BicliqueFamily:
         raise GraphError("biclique enumeration needs at least 2 vertices")
     if g.n > MAX_HOST_ORDER:
         raise CapabilityError(f"biclique enumeration supports n <= {MAX_HOST_ORDER}")
-    if not is_connected(g):
-        raise GraphError("biclique enumeration requires a connected graph")
-    masks = _maximal_biclique_masks(g)
-    assert masks is not None
-    bicliques = []
-    for mask in masks:
-        side_a, side_b = complete_bipartite_sides(g, mask)
-        bicliques.append(Biclique(mask, side_a, side_b))
-    return BicliqueFamily(g, bicliques)
+    _require_connected(g)
+    return BicliqueFamily(g, (Biclique(*sides) for sides in _maximal_bicliques(g)))
 
 
 def _intersection_graph(masks: list[int]) -> Graph:
@@ -216,8 +212,8 @@ def biclique_graph_with_limit(g: Graph, max_order: int) -> tuple[Graph, None] | 
     """
     if g.n < 2:
         raise GraphError("biclique enumeration needs at least 2 vertices")
-    masks = _maximal_biclique_masks(g, stop_above=max_order)
-    if masks is None:
+    found = _maximal_bicliques(g, stop_above=max_order)
+    if found is None:
         return None, None
-    masks.sort(key=lambda m: tuple(_bits(m)))
+    masks = sorted((mask for mask, _, _ in found), key=lambda m: tuple(_bits(m)))
     return _intersection_graph(masks), None

@@ -29,8 +29,8 @@ All output is deterministic for a fixed command line and input.
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -83,23 +83,30 @@ class _Status:
         return EXIT_OK
 
 
-def _input_lines(paths: list[str]):
-    """Yield (source, line number, line) for each non-blank, non-comment line."""
+def _input_lines(paths: list[str], status: _Status):
+    """Yield (source, line number, line) for each non-blank, non-comment line.
+
+    An input that cannot be read is reported once as ``source: message`` and
+    counts as an input error.  Undecodable bytes are read as U+FFFD, which
+    the graph6 parser rejects on that line alone.
+    """
     for path in paths or ["-"]:
-        if path == "-":
-            handle = sys.stdin
-            name = "<stdin>"
-        else:
-            handle = open(path)
-            name = path
+        name = "<stdin>" if path == "-" else path
         try:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    yield name, lineno, stripped
-        finally:
-            if handle is not sys.stdin:
-                handle.close()
+            handle = sys.stdin if path == "-" else open(path, encoding="utf-8")
+            if isinstance(handle, io.TextIOWrapper):  # a stream that decodes bytes
+                handle.reconfigure(errors="replace")
+            try:
+                for lineno, line in enumerate(handle, start=1):
+                    stripped = line.strip()
+                    if stripped and not stripped.startswith("#"):
+                        yield name, lineno, stripped
+            finally:
+                if handle is not sys.stdin:
+                    handle.close()
+        except OSError as exc:
+            status.parse_error = True
+            print(f"{name}: {exc.strerror or exc}", file=sys.stderr)
 
 
 def _each_graph(paths: list[str], emit) -> _Status:
@@ -109,7 +116,7 @@ def _each_graph(paths: list[str], emit) -> _Status:
     as capability errors, everything else as parse errors.
     """
     status = _Status()
-    for name, lineno, line in _input_lines(paths):
+    for name, lineno, line in _input_lines(paths, status):
         try:
             graph = parse_graph6(line)
             if not is_connected(graph):
@@ -211,9 +218,8 @@ def _cmd_catalogue(args: argparse.Namespace) -> int:
     if workers is None:
         try:
             workers = default_worker_count()
-        except ValueError:
-            value = os.environ.get("BICLIQUE_LAB_WORKERS")
-            print(f"BICLIQUE_LAB_WORKERS must be an integer, got {value!r}", file=sys.stderr)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
             return EXIT_PARSE
     try:
         entries = build_catalogue(args.max_g_order, args.max_h_order, workers=workers)

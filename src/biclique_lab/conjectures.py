@@ -28,7 +28,7 @@ more vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .graphs import Graph, CapabilityError, GraphError, _bits, is_connected
+from .graphs import Graph, CapabilityError, _bits, _require_connected
 from .obstructions import _is_diamond
 
 #: Full-subfamily Helly checks are exponential in the family size.
@@ -61,12 +61,7 @@ class ConjectureFinding:
 
 def simplicial_vertices(g: Graph) -> tuple[int, ...]:
     """Vertices whose open neighbourhood induces a complete graph."""
-    out = []
-    for v in range(g.n):
-        nb = g.adj[v]
-        if all((g.adj[u] & nb) == nb & ~(1 << u) for u in _bits(nb)):
-            out.append(v)
-    return tuple(out)
+    return tuple(v for v in range(g.n) if _is_complete_set(g, g.adj[v]))
 
 
 def non_helly_subfamily(sets: list[int]) -> tuple[int, ...] | None:
@@ -104,11 +99,6 @@ def check_simplicial_helly(g: Graph, graph6: str = "") -> ConjectureFinding:
         witness=tuple(simplicial[k] for k in bad),
         note="pairwise-meeting simplicial closed neighbourhoods with empty core",
     )
-
-
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise GraphError("conjecture checks require a connected graph")
 
 
 def _is_complete_set(g: Graph, mask: int) -> bool:

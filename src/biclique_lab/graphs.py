@@ -219,10 +219,10 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise Graph6Error("empty graph6 line")
-    data = line.encode("ascii", errors="replace")
-    for i, byte in enumerate(data):
-        if not (63 <= byte <= 126):
-            raise Graph6Error(f"character {chr(byte)!r} outside graph6 range 63..126", offset=i)
+    for i, char in enumerate(line):
+        if not "?" <= char <= "~":
+            raise Graph6Error(f"character {char!r} outside graph6 range 63..126", offset=i)
+    data = line.encode("ascii")
     if data[0] == 126:
         raise CapabilityError("multi-byte graph6 order headers (n > 62) are not supported")
     n = data[0] - 63
@@ -274,15 +274,6 @@ def write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a corpus: one graph per line, '#' lines and blanks skipped."""
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield parse_graph6(stripped)
-
-
 # ---------------------------------------------------------------------------
 # distances and connectivity
 
@@ -316,17 +307,12 @@ def distance(g: Graph, u: int, v: int) -> int | float:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == g.vertex_mask()
+    return _connected_within(g, g.vertex_mask())
+
+
+def _require_connected(g: Graph) -> None:
+    if not is_connected(g):
+        raise GraphError("the graph must be connected")
 
 
 def _connected_within(g: Graph, mask: int) -> bool:
@@ -343,6 +329,7 @@ def _connected_within(g: Graph, mask: int) -> bool:
         frontier = nxt & ~seen
         seen |= frontier
     return seen == mask
+
 
 def cut_vertices(g: Graph) -> tuple[int, ...]:
     """Vertices whose removal disconnects the graph (empty for n <= 2)."""
@@ -476,7 +463,7 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
         for child in _augmentations(parent):
             key = canonical_form(child)
             if key not in seen:
-                seen[key] = canonical_graph(child)
+                seen[key] = parse_graph6(key)
     return tuple(seen[key] for key in sorted(seen))
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .graphs import Graph, GraphError, _bits, cut_vertices, is_connected, write_graph6
+from .graphs import Graph, _bits, _require_connected, cut_vertices, write_graph6
 from .patterns import FORBIDDEN_PATTERNS
 
 
@@ -83,11 +83,6 @@ CHECK_NAMES: tuple[str, ...] = (
     "helly_degree2",
     "gem_wing",
 )
-
-
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise GraphError("obstruction checks require a connected graph")
 
 
 def induced_p3s(g: Graph):
@@ -328,8 +323,8 @@ def check_gem_wing(g: Graph) -> CheckResult:
             for v3 in _bits(nb & ~adj[v1]):
                 if v3 == v1:
                     continue
-                if adj[v1] & adj[v2] & adj[v3]:
-                    continue  # the P3 lies in a diamond
+                if p3_in_diamond(g, v1, v2, v3):
+                    continue
                 m4 = adj[v1] & adj[v2] & ~adj[v3]
                 m5 = adj[v3] & adj[v2] & ~adj[v1]
                 witness = None
@@ -341,11 +336,9 @@ def check_gem_wing(g: Graph) -> CheckResult:
                         gem_mask = (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4) | (1 << v5)
                         violator = None
                         for v in _bits(full & ~gem_mask & ~adj[v1] & adj[v4]):
-                            common = adj[v] & adj[v1]
-                            if any(adj[x] & common for x in _bits(common)):
-                                continue  # v shares a diamond with v1
-                            violator = v
-                            break
+                            if not has_diamond_with_pair(g, v, v1):
+                                violator = v
+                                break
                         if violator is None:
                             all_contradicted = False
                             break

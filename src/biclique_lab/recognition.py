@@ -29,8 +29,8 @@ from .bicliques import biclique_graph, biclique_graph_with_limit
 from .graphs import (
     CapabilityError,
     Graph,
-    GraphError,
     _augmentations,
+    _require_connected,
     canonical_form,
     enumerate_connected_graphs,
     is_connected,
@@ -130,8 +130,7 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     preimage exists within the bound.
     """
     _check_bounds(max(g.n, 2), max_h_order)
-    if not is_connected(g):
-        raise GraphError("preimage search requires a connected target")
+    _require_connected(g)
     target = canonical_form(g)
     for n in range(2, max_h_order + 1):
         for host in _hosts_of_order(n):
@@ -196,10 +195,18 @@ def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> 
 
 
 def default_worker_count() -> int:
+    """``BICLIQUE_LAB_WORKERS`` if set, else the CPU count; ValueError unless
+    the variable is an integer of at least 1."""
     env = os.environ.get("BICLIQUE_LAB_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"BICLIQUE_LAB_WORKERS must be an integer of at least 1, got {env!r}")
+    return workers
 
 
 def build_catalogue(
@@ -222,48 +229,36 @@ def build_catalogue(
             key = canonical_form(g)
             report = classify(g)
             verdicts = {name: report.checks[name].verdict.value for name in CHECK_NAMES}
+            preimage = obstruction = None
             if key in positives:
                 if report.excluded:
                     raise AssertionError(
                         f"class {key} has a preimage but fails {report.failing_checks}"
                     )
-                entries.append(
-                    CatalogueEntry(
-                        graph6=key,
-                        order=n,
-                        classification=BICLIQUE_GRAPH,
-                        searched_max_h=max_h_order,
-                        preimage_graph6=write_graph6(positives[key]),
-                        check_verdicts=verdicts,
-                    )
-                )
+                classification = BICLIQUE_GRAPH
+                preimage = write_graph6(positives[key])
             elif report.excluded:
+                classification = NOT_BICLIQUE_GRAPH
                 failing = report.failing_checks[0]
                 result = report.checks[failing]
-                entries.append(
-                    CatalogueEntry(
-                        graph6=key,
-                        order=n,
-                        classification=NOT_BICLIQUE_GRAPH,
-                        searched_max_h=max_h_order,
-                        obstruction={
-                            "check": failing,
-                            "witness": list(result.witness) if result.witness else None,
-                            "note": result.note,
-                        },
-                        check_verdicts=verdicts,
-                    )
-                )
+                obstruction = {
+                    "check": failing,
+                    "witness": list(result.witness) if result.witness else None,
+                    "note": result.note,
+                }
             else:
-                entries.append(
-                    CatalogueEntry(
-                        graph6=key,
-                        order=n,
-                        classification=UNKNOWN,
-                        searched_max_h=max_h_order,
-                        check_verdicts=verdicts,
-                    )
+                classification = UNKNOWN
+            entries.append(
+                CatalogueEntry(
+                    graph6=key,
+                    order=n,
+                    classification=classification,
+                    searched_max_h=max_h_order,
+                    preimage_graph6=preimage,
+                    obstruction=obstruction,
+                    check_verdicts=verdicts,
                 )
+            )
     return entries
 
 

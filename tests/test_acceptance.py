@@ -7,6 +7,7 @@ PASS/FAIL line per criterion at the end of the pytest run (see conftest).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import combinations
 from pathlib import Path
@@ -78,6 +79,10 @@ CRITERION_7 = "conjecture scans: exact readings clean, superset refutations froz
 #: a clique on more than 2 vertices, so it lies in a K_j, j >= i, not a K_i.
 SUPERSET_TWIN_COUNTEREXAMPLES = {"D^{", "EB~w", "E^~w"}
 
+#: SHA-1 of every canonical connected graph on 1..8 vertices, in generation
+#: order, written as graph6 with no separator.
+GENERATION_SHA1 = "5f93d921d43a33f06478e512041d89af5b4e969d"
+
 
 @pytest.fixture(scope="module")
 def host_scan():
@@ -128,6 +133,12 @@ def reference_preimages():
                 data = json.loads(line)
                 rows[data["graph6"]] = data["preimage_graph6"]
     return rows
+
+
+def test_generation_golden(host_scan):
+    # host_scan has already generated (and cached) every class up to order 8
+    text = "".join(write_graph6(g) for n in range(1, 9) for g in enumerate_connected_graphs(n))
+    assert hashlib.sha1(text.encode()).hexdigest() == GENERATION_SHA1
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -219,9 +230,12 @@ def test_criterion_5_catalogue_against_reference(catalogue68, reference_preimage
     # every entry classification carries re-derivable evidence
     assert all(verify_entry(e) for e in entries)
 
-    # positives agree with the direct host sweep (closure consistency)
-    built_positive = {e.graph6 for e in entries if e.classification == BICLIQUE_GRAPH}
-    assert built_positive == set(host_scan["realised_small_kbs"])
+    # positives agree with the direct host sweep (closure consistency), down
+    # to the preimage: the first host in generation order realising the class
+    built_positive = {
+        e.graph6: e.preimage_graph6 for e in entries if e.classification == BICLIQUE_GRAPH
+    }
+    assert built_positive == host_scan["realised_small_kbs"]
 
     # reference comparison: every certified reference entry either was built
     # positive, or its recorded preimage needs more than 8 vertices -- those

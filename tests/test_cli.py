@@ -69,6 +69,43 @@ class TestBicliquesCommand:
         assert "disconnected" in err
 
 
+class TestUnreadableInputs:
+    def test_non_graph6_character_on_stdin(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["kb"], stdin="E\u00e9~w\n", monkeypatch=monkeypatch)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("<stdin>:1: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["bicliques", "kb", "distance", "check", "recognize"])
+    def test_missing_file_and_directory_are_input_errors(self, command, tmp_path, capsys):
+        good = write_g6(tmp_path, "good.g6", complete_graph(3))
+        missing = str(tmp_path / "missing.g6")
+        code, out, err = run(capsys, [command, missing, str(tmp_path), good])
+        assert code == EXIT_PARSE
+        assert err.splitlines() == [
+            f"{missing}: No such file or directory",
+            f"{tmp_path}: Is a directory",
+        ]
+        _, expected, _ = run(capsys, [command, good])
+        assert out == expected and expected
+
+    def test_undecodable_byte_in_a_file_fails_that_line_only(self, tmp_path, capsys):
+        path = tmp_path / "latin1.g6"
+        path.write_bytes(b"Bw\nE\xe9~w\nBw\n")
+        code, out, err = run(capsys, ["kb", str(path)])
+        assert code == EXIT_PARSE and out == "Bw\nBw\n"
+        assert err.startswith(f"{path}:2: ") and err.count("\n") == 1
+
+    def test_undecodable_byte_on_stdin_fails_that_line_only(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"Bw\nE\xe9~w\nBw\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, ["kb"])
+        assert code == EXIT_PARSE and out == "Bw\nBw\n"
+        assert err.startswith("<stdin>:2: ") and err.count("\n") == 1
+
+
 class TestKbCommand:
     def test_kb_stream(self, capsys, monkeypatch):
         code, out, err = run(
@@ -347,6 +384,18 @@ class TestEnvironmentWorkerDefault:
         monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "abc")
         code, out, err = run(capsys, ["kb"], stdin="Bw\n", monkeypatch=monkeypatch)
         assert code == EXIT_OK and out == "Bw\n" and err == ""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one_is_a_one_line_catalogue_error(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", value)
+        code, out, err = run(
+            capsys,
+            ["catalogue", "--max-g-order", "3", "--max-h-order", "4", "--out", str(tmp_path / "cat")],
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.count("\n") == 1 and "BICLIQUE_LAB_WORKERS" in err and f"'{value}'" in err
+        assert not (tmp_path / "cat").exists()
 
     def test_workers_flag_wins_over_a_malformed_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "abc")

@@ -5,6 +5,11 @@ generation order; the second stream mixes good lines with one malformed and
 one disconnected line.  The digests were recorded before the per-graph
 commands were rewritten around one shared driver, so any change to what a
 command prints or how it exits shows up here.
+
+A larger pair of streams holds the 853 connected graphs on 7 vertices and
+their biclique graphs.  Those digests were recorded before the library's
+duplicated primitives (connectivity, diamond and clique tests, biclique
+sides, generation) were folded into one implementation each.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import sys
 import pytest
 
 from biclique_lab.cli import main
-from biclique_lab.graphs import enumerate_connected_graphs, write_graph6
+from biclique_lab.bicliques import biclique_graph
+from biclique_lab.graphs import enumerate_connected_graphs, parse_graph6, write_graph6
 
 ALL_UP_TO_6 = "".join(
     write_graph6(g) + "\n" for n in range(1, 7) for g in enumerate_connected_graphs(n)
@@ -57,6 +63,30 @@ GOLDEN = {
 }
 
 
+ORDER_7 = "".join(write_graph6(g) + "\n" for g in enumerate_connected_graphs(7))
+ORDER_7_SHA256 = "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"
+ORDER_7_KBS = "".join(
+    write_graph6(biclique_graph(parse_graph6(line))[0]) + "\n" for line in ORDER_7.splitlines()
+)
+ORDER_7_KBS_SHA256 = "7e8a0f2eead94043f5bb6310c7564859a15ace687f985da77de4e48601be7574"
+
+ORDER_7_COMMANDS = {
+    "check": (["check"], ORDER_7),
+    "bicliques-json": (["bicliques", "--format", "json"], ORDER_7),
+    "distance-json": (["distance", "--format", "json"], ORDER_7),
+    "kb-legend": (["kb", "--legend"], ORDER_7),
+    "check-kbs": (["check"], ORDER_7_KBS),
+}
+
+ORDER_7_GOLDEN = {
+    "bicliques-json": "6b3449422424f73b6ab955ab520eb7ad799150230b936153e4dc1ea4c14f85c4",
+    "check": "6194026a4c07a01b85283f7b75463e76c92a4712143d02f6e1a02236767958fe",
+    "check-kbs": "f1ee219989a4e33ca7812ea5d5ebfde41f734d9ea3134f3e551a77de96ee4dbc",
+    "distance-json": "219510bd8c3d06aa9bb93bd86f239fae496e49f69282c9cb315d9b56e0496e96",
+    "kb-legend": "62f3d7231e8623431782b2fbc22920450c3a335062c15a7750b62f1faadf83ec",
+}
+
+
 def _digest(argv, stdin, capsys, monkeypatch) -> str:
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(list(argv))
@@ -74,3 +104,15 @@ def test_stream_is_the_recorded_one():
 def test_stdout_and_exit_code_unchanged(name, stream, capsys, monkeypatch):
     text = ALL_UP_TO_6 if stream == "all" else BAD_LINES
     assert _digest(COMMANDS[name], text, capsys, monkeypatch) == GOLDEN[f"{name}/{stream}"]
+
+
+def test_order_7_streams_are_the_recorded_ones():
+    assert ORDER_7.count("\n") == 853
+    assert hashlib.sha256(ORDER_7.encode()).hexdigest() == ORDER_7_SHA256
+    assert hashlib.sha256(ORDER_7_KBS.encode()).hexdigest() == ORDER_7_KBS_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_7_COMMANDS))
+def test_order_7_stdout_and_exit_code_unchanged(name, capsys, monkeypatch):
+    argv, text = ORDER_7_COMMANDS[name]
+    assert _digest(argv, text, capsys, monkeypatch) == ORDER_7_GOLDEN[name]

@@ -51,6 +51,14 @@ def test_character_out_of_range_names_offset():
     assert info.value.offset == 1
 
 
+@pytest.mark.parametrize("text, offset", [("E\u00e9~w", 1), ("Bw\u00ff", 2)])
+def test_non_ascii_character_rejected_at_its_offset(text, offset):
+    # non-ASCII must not turn into a replacement '?', which is valid graph6
+    with pytest.raises(Graph6Error) as info:
+        parse_graph6(text)
+    assert info.value.offset == offset
+
+
 def test_truncated_body_rejected():
     with pytest.raises(Graph6Error):
         parse_graph6("D?")
