@@ -22,7 +22,8 @@ for every per-graph command and for ``catalogue``); 3 reference-fixture
 mismatch or, under --strict, a skipped comparison; 4 for ``check`` when some
 graph is excluded (inverted by --invert-exit) and for ``conjectures`` when a
 counterexample is found.  A per-graph command reports a bad line on stderr
-as ``source:line: message`` and goes on with the next line.
+as ``source:line: message`` and goes on with the next line; a file or format
+error that ends ``catalogue`` or ``conjectures`` is one stderr line, exit 1.
 All output is deterministic for a fixed command line and input.
 """
 
@@ -84,7 +85,7 @@ class _Status:
 
 
 def _input_lines(paths: list[str], status: _Status):
-    """Yield (source, line number, line) for each non-blank, non-comment line.
+    """Yield (source, line number, line as read) per non-blank, non-comment line.
 
     An input that cannot be read is reported once as ``source: message`` and
     counts as an input error.  Undecodable bytes are read as U+FFFD, which
@@ -100,7 +101,7 @@ def _input_lines(paths: list[str], status: _Status):
                 for lineno, line in enumerate(handle, start=1):
                     stripped = line.strip()
                     if stripped and not stripped.startswith("#"):
-                        yield name, lineno, stripped
+                        yield name, lineno, line
             finally:
                 if handle is not sys.stdin:
                     handle.close()
@@ -214,18 +215,8 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalogue(args: argparse.Namespace) -> int:
-    workers = args.workers
-    if workers is None:
-        try:
-            workers = default_worker_count()
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_PARSE
-    try:
-        entries = build_catalogue(args.max_g_order, args.max_h_order, workers=workers)
-    except CapabilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CAPABILITY
+    workers = default_worker_count() if args.workers is None else args.workers
+    entries = build_catalogue(args.max_g_order, args.max_h_order, workers=workers)
     paths = write_catalogue(entries, args.out_dir)
     totals: dict[str, int] = {}
     for entry in entries:
@@ -347,14 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; an error that ends the whole command is one line
+    on stderr and an exit code, never a traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except CapabilityError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_CAPABILITY
     except BrokenPipeError:  # downstream closed the pipe; not an error
         return EXIT_OK
+    except (OSError, ValueError) as exc:  # unreadable files, malformed input
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -169,6 +169,19 @@ def find_generalized_twins(
     return next(iter_generalized_twins(g, i_max=i_max, containment=containment), None)
 
 
+def _forbidden_configuration(
+    conjecture: str,
+    graph6: str,
+    certified: bool,
+    notes: tuple[str, str],
+    witness: tuple | None = None,
+) -> ConjectureFinding:
+    """A forbidden configuration is a counterexample only on a certified
+    biclique graph, otherwise consistent; ``notes`` is (certified, otherwise)."""
+    verdict, note = ("counterexample", notes[0]) if certified else ("consistent", notes[1])
+    return ConjectureFinding(conjecture, graph6, verdict, witness, note)
+
+
 def check_generalized_twins(
     g: Graph,
     graph6: str = "",
@@ -186,27 +199,12 @@ def check_generalized_twins(
     witness = find_generalized_twins(g, i_max=i_max, containment=containment)
     if witness is None:
         return ConjectureFinding("generalized-twins", graph6, "consistent")
-    flat = (
-        witness["vertices"],
-        witness["i"],
-        witness["common_neighbourhood"],
-        witness["clique"],
+    flat = (witness["vertices"], witness["i"], witness["common_neighbourhood"], witness["clique"])
+    notes = (
+        "shared neighbourhood inside a K_i in a certified biclique graph",
+        "configuration present but the graph is not a certified biclique graph",
     )
-    if certified:
-        return ConjectureFinding(
-            "generalized-twins",
-            graph6,
-            "counterexample",
-            witness=flat,
-            note="shared neighbourhood inside a K_i in a certified biclique graph",
-        )
-    return ConjectureFinding(
-        "generalized-twins",
-        graph6,
-        "consistent",
-        witness=flat,
-        note="configuration present but the graph is not a certified biclique graph",
-    )
+    return _forbidden_configuration("generalized-twins", graph6, certified, notes, flat)
 
 
 def _rotation_extension_cycle(g: Graph) -> tuple[int, ...] | None:
@@ -317,19 +315,11 @@ def check_hamiltonian(g: Graph, graph6: str = "", certified: bool = False) -> Co
     cycle = hamiltonian_cycle(g)
     if cycle is not None:
         return ConjectureFinding("hamiltonian", graph6, "consistent", witness=(cycle,))
-    if certified:
-        return ConjectureFinding(
-            "hamiltonian",
-            graph6,
-            "counterexample",
-            note="certified biclique graph with no Hamiltonian cycle",
-        )
-    return ConjectureFinding(
-        "hamiltonian",
-        graph6,
-        "consistent",
-        note="non-Hamiltonian but not a certified biclique graph",
+    notes = (
+        "certified biclique graph with no Hamiltonian cycle",
+        "non-Hamiltonian but not a certified biclique graph",
     )
+    return _forbidden_configuration("hamiltonian", graph6, certified, notes)
 
 
 def scan_certified_graphs(

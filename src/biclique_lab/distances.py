@@ -59,24 +59,15 @@ class DistanceFormulaViolation(AssertionError):
         )
 
 
-def biclique_distance(g: Graph, family: BicliqueFamily, i: int, j: int) -> int:
-    """min over b in B_i, b' in B_j of the graph distance; 0 on overlap.
-
-    Computed by multi-source BFS seeded on B_i, stopped at the first vertex
-    of B_j, which equals the pairwise minimum.
-    """
-    family.check_index(i)
-    family.check_index(j)
-    source = family[i].mask
-    target = family[j].mask
-    if source & target or i == j:
-        return 0
-    frontier = source
-    seen = source
+def _meet(g: Graph, source: int, target: int) -> tuple[int, int]:
+    """Multi-source BFS from the ``source`` mask, stopped at the first layer
+    meeting ``target``: that layer's distance and its ``target`` vertices."""
+    frontier = seen = source
     d = 0
     while frontier:
-        if frontier & target:
-            return d
+        hit = frontier & target
+        if hit:
+            return d, hit
         nxt = 0
         for v in _bits(frontier):
             nxt |= g.adj[v]
@@ -86,22 +77,19 @@ def biclique_distance(g: Graph, family: BicliqueFamily, i: int, j: int) -> int:
     raise GraphError("bicliques lie in different components")
 
 
-def closest_vertex_pair(g: Graph, family: BicliqueFamily, i: int, j: int) -> tuple[int, int]:
-    """One (b, b') with b in B_i, b' in B_j realising the biclique distance."""
-    source = family[i].mask
-    target = family[j].mask
-    common = source & target
-    if common or i == j:
-        v = (common & -common).bit_length() - 1 if common else family[i].vertices[0]
-        return (v, v)
-    dist = distances_from(g, source)
-    best_j = min(_bits(target), key=lambda v: dist[v])
-    d = dist[best_j]
-    back = distances_from(g, 1 << best_j)
-    for v in _bits(source):
-        if back[v] == d:
-            return (v, best_j)
-    raise GraphError("bicliques lie in different components")
+def biclique_distance(g: Graph, family: BicliqueFamily, i: int, j: int) -> int:
+    """min over b in B_i, b' in B_j of the graph distance; 0 on overlap."""
+    family.check_index(i)
+    family.check_index(j)
+    return _meet(g, family[i].mask, family[j].mask)[0]
+
+
+def _closest_pair(g: Graph, source: int, target: int) -> tuple[int, int]:
+    """(u, v) realising the distance between two vertex sets: v is the least
+    ``target`` vertex nearest to ``source``, u the least ``source`` vertex
+    nearest to v."""
+    v = next(_bits(_meet(g, source, target)[1]))
+    return next(_bits(_meet(g, 1 << v, source)[1])), v
 
 
 def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
@@ -131,7 +119,7 @@ def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
                 d_g=d_g,
                 d_kb=int(kb_dist[i][j]),
                 formula_value=(d_g + 1) // 2 + 1,
-                closest_pair=closest_vertex_pair(g, family, i, j),
+                closest_pair=_closest_pair(g, family[i].mask, family[j].mask),
                 witness_count=witness_count,
             )
         )

@@ -81,26 +81,6 @@ class Graph:
         object.__setattr__(self, "adj", tuple(masks))
 
     @classmethod
-    def from_adjacency(cls, adj: Sequence[int]) -> "Graph":
-        """Build from per-vertex neighbour bitmasks (validated)."""
-        g = object.__new__(cls)
-        n = len(adj)
-        if n < 1:
-            raise GraphError("graph order must be >= 1")
-        full = (1 << n) - 1
-        for v, mask in enumerate(adj):
-            if mask & ~full:
-                raise GraphError(f"adjacency of vertex {v} out of range")
-            if (mask >> v) & 1:
-                raise GraphError(f"self-loop at vertex {v}")
-            for u in _bits(mask):
-                if not (adj[u] >> v) & 1:
-                    raise GraphError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(adj))
-        return g
-
-    @classmethod
     def _raw(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         # Fast path for internally-constructed, already-valid adjacency.
         g = object.__new__(cls)
@@ -124,10 +104,6 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self.adj))
@@ -171,10 +147,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def permuted(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel: vertex v of ``g`` becomes ``perm[v]`` in the result."""
     if sorted(perm) != list(range(g.n)):
@@ -188,8 +160,8 @@ def permuted(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph._raw(g.n, tuple(adj))
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``vertices``; returns (graph, old labels in order)."""
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Induced subgraph on ``vertices``, relabelled in increasing order."""
     keep = sorted(set(vertices))
     if not keep:
         raise GraphError("induced subgraph needs at least one vertex")
@@ -201,7 +173,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         for u in _bits(g.adj[v]):
             if u in index:
                 adj[index[v]] |= 1 << index[u]
-    return Graph._raw(len(keep), tuple(adj)), tuple(keep)
+    return Graph._raw(len(keep), tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +184,17 @@ def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (single-byte header, order <= 62).
 
     Raises :class:`Graph6Error` naming the byte offset for characters outside
-    63..126, a bad length, or nonzero padding bits.
+    63..126, a bad length, or nonzero padding bits.  Offsets count from the
+    start of ``text``, surrounding whitespace and header included.
     """
-    line = text.strip()
+    line = text.lstrip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
+    start = len(text) - len(line)
+    line = line.rstrip()
     if not line:
         raise Graph6Error("empty graph6 line")
-    for i, char in enumerate(line):
+    for i, char in enumerate(line, start):
         if not "?" <= char <= "~":
             raise Graph6Error(f"character {char!r} outside graph6 range 63..126", offset=i)
     data = line.encode("ascii")
@@ -227,18 +202,18 @@ def parse_graph6(text: str) -> Graph:
         raise CapabilityError("multi-byte graph6 order headers (n > 62) are not supported")
     n = data[0] - 63
     if n < 1:
-        raise Graph6Error("graph6 order 0 is not supported", offset=0)
+        raise Graph6Error("graph6 order 0 is not supported", offset=start)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - 1 != nbytes:
         raise Graph6Error(
             f"graph6 body for n={n} needs {nbytes} bytes, got {len(data) - 1}",
-            offset=len(data),
+            offset=start + len(data),
         )
     adj = [0] * n
     bit_index = 0
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for byte_index, byte in enumerate(data[1:], start=1):
+    for byte_index, byte in enumerate(data[1:], start=start + 1):
         value = byte - 63
         for k in range(5, -1, -1):
             bit = (value >> k) & 1

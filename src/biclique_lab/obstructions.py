@@ -74,17 +74,6 @@ def _jsonable(value):
 
 _PASS = CheckResult(Verdict.PASS)
 
-CHECK_NAMES: tuple[str, ...] = (
-    "p3_diamond_gem",
-    "biconnectivity_min_degree",
-    "twin_k2",
-    "forbidden_subgraph",
-    "degree2_bound",
-    "helly_degree2",
-    "gem_wing",
-)
-
-
 def induced_p3s(g: Graph):
     """All induced paths (u, v, w), u < w, uv and vw edges, uw a non-edge."""
     adj = g.adj
@@ -101,16 +90,19 @@ def p3_in_diamond(g: Graph, u: int, v: int, w: int) -> bool:
     return bool(g.adj[u] & g.adj[v] & g.adj[w])
 
 
-def p3_in_gem(g: Graph, u: int, v: int, w: int) -> bool:
-    """Wings z1 over u and z2 over w with z1 ~ z2 complete an induced gem:
-    P4 u-z1-z2-w plus hub v, with the P3 u-v-w through the hub."""
+def _gem_wings(g: Graph, u: int, v: int, w: int):
+    """Wings (z1, z2), z1 over u and z2 over w with z1 ~ z2, completing the
+    P3 u-v-w to an induced gem: P4 u-z1-z2-w plus hub v."""
     adj = g.adj
-    m1 = adj[u] & adj[v] & ~adj[w]
-    m2 = adj[w] & adj[v] & ~adj[u]
-    for z1 in _bits(m1):
-        if adj[z1] & m2:
-            return True
-    return False
+    over_w = adj[w] & adj[v] & ~adj[u]
+    for z1 in _bits(adj[u] & adj[v] & ~adj[w]):
+        for z2 in _bits(adj[z1] & over_w):
+            yield z1, z2
+
+
+def p3_in_gem(g: Graph, u: int, v: int, w: int) -> bool:
+    """Some gem completes the P3 u-v-w, with the P3 through the hub."""
+    return next(_gem_wings(g, u, v, w), None) is not None
 
 
 def check_p3_diamond_gem(g: Graph) -> CheckResult:
@@ -321,35 +313,26 @@ def check_gem_wing(g: Graph) -> CheckResult:
         nb = adj[v2]
         for v1 in _bits(nb):
             for v3 in _bits(nb & ~adj[v1]):
-                if v3 == v1:
+                if v3 == v1 or p3_in_diamond(g, v1, v2, v3):
                     continue
-                if p3_in_diamond(g, v1, v2, v3):
-                    continue
-                m4 = adj[v1] & adj[v2] & ~adj[v3]
-                m5 = adj[v3] & adj[v2] & ~adj[v1]
                 witness = None
-                all_contradicted = True
-                for v4 in _bits(m4):
-                    if not all_contradicted:
-                        break
-                    for v5 in _bits(m5 & adj[v4]):
-                        gem_mask = (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4) | (1 << v5)
-                        violator = None
-                        for v in _bits(full & ~gem_mask & ~adj[v1] & adj[v4]):
-                            if not has_diamond_with_pair(g, v, v1):
-                                violator = v
-                                break
-                        if violator is None:
-                            all_contradicted = False
-                            break
-                        if witness is None:
-                            witness = (v1, v2, v3, v4, v5, violator)
-                if witness is not None and all_contradicted:
-                    return CheckResult(
-                        Verdict.FAIL,
-                        witness=witness,
-                        note="vertex meets the gem wing while diamond-free from v1",
+                for v4, v5 in _gem_wings(g, v1, v2, v3):
+                    gem_mask = (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4) | (1 << v5)
+                    outside = full & ~gem_mask & ~adj[v1] & adj[v4]
+                    violator = next(
+                        (v for v in _bits(outside) if not has_diamond_with_pair(g, v, v1)), None
                     )
+                    if violator is None:
+                        break
+                    if witness is None:
+                        witness = (v1, v2, v3, v4, v5, violator)
+                else:
+                    if witness is not None:
+                        return CheckResult(
+                            Verdict.FAIL,
+                            witness=witness,
+                            note="vertex meets the gem wing while diamond-free from v1",
+                        )
     return _PASS
 
 
@@ -362,6 +345,8 @@ _CHECK_FUNCTIONS = {
     "helly_degree2": check_helly_degree2,
     "gem_wing": check_gem_wing,
 }
+
+CHECK_NAMES: tuple[str, ...] = tuple(_CHECK_FUNCTIONS)
 
 OVERALL_EXCLUDED = "cannot-be-biclique-graph"
 OVERALL_UNDECIDED = "passes-all-checks"
@@ -399,5 +384,5 @@ class ObstructionReport:
 def classify(g: Graph) -> ObstructionReport:
     """Run the whole battery; excluded iff any applicable check fails."""
     _require_connected(g)
-    checks = {name: _CHECK_FUNCTIONS[name](g) for name in CHECK_NAMES}
+    checks = {name: check(g) for name, check in _CHECK_FUNCTIONS.items()}
     return ObstructionReport(graph6=write_graph6(g), checks=checks)

@@ -29,6 +29,7 @@ from .bicliques import biclique_graph, biclique_graph_with_limit
 from .graphs import (
     CapabilityError,
     Graph,
+    Graph6Error,
     _augmentations,
     _require_connected,
     canonical_form,
@@ -110,16 +111,16 @@ def _check_bounds(max_g_order: int, max_h_order: int) -> None:
         raise CapabilityError("catalogue needs max_g_order >= 2")
 
 
-def _hosts_of_order(n: int) -> Iterator[Graph]:
-    """Connected hosts on n vertices: isomorphism-class representatives for
-    n <= 8, and for n == 9 every augmentation of the 8-vertex corpus by one
-    vertex with a nonempty neighbourhood (covers all classes, with
-    repetitions, in a fixed order)."""
-    if n <= 8:
+def _hosts(max_h_order: int) -> Iterator[Graph]:
+    """Connected hosts on 2..max_h_order vertices, in generation order:
+    isomorphism-class representatives up to order 8, then at order 9 every
+    augmentation of the 8-vertex corpus by one vertex with a nonempty
+    neighbourhood (covers all classes, with repetitions, in a fixed order)."""
+    for n in range(2, min(max_h_order, 8) + 1):
         yield from enumerate_connected_graphs(n)
-        return
-    for parent in enumerate_connected_graphs(8):
-        yield from _augmentations(parent)
+    if max_h_order >= 9:
+        for parent in enumerate_connected_graphs(8):
+            yield from _augmentations(parent)
 
 
 def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
@@ -132,13 +133,10 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     _check_bounds(max(g.n, 2), max_h_order)
     _require_connected(g)
     target = canonical_form(g)
-    for n in range(2, max_h_order + 1):
-        for host in _hosts_of_order(n):
-            kb, _ = biclique_graph_with_limit(host, g.n)
-            if kb is None or kb.n != g.n:
-                continue
-            if canonical_form(kb) == target:
-                return host
+    for host in _hosts(max_h_order):
+        kb, _ = biclique_graph_with_limit(host, g.n)
+        if kb is not None and kb.n == g.n and canonical_form(kb) == target:
+            return host
     return None
 
 
@@ -156,7 +154,7 @@ def _positives_chunk(args: tuple[int, list[tuple[int, ...]]]) -> list[str | None
 def _host_chunks(max_h_order: int) -> Iterator[list[tuple[int, ...]]]:
     """Adjacency tuples of every host on 2..max_h_order vertices, in
     generation order, _CHUNK_SIZE at a time."""
-    hosts = (host.adj for n in range(2, max_h_order + 1) for host in _hosts_of_order(n))
+    hosts = (host.adj for host in _hosts(max_h_order))
     while chunk := list(islice(hosts, _CHUNK_SIZE)):
         yield chunk
 
@@ -226,8 +224,8 @@ def build_catalogue(
     entries: list[CatalogueEntry] = []
     for n in range(2, max_g_order + 1):
         for g in enumerate_connected_graphs(n):
-            key = canonical_form(g)
             report = classify(g)
+            key = report.graph6  # generated graphs are canonically labelled
             verdicts = {name: report.checks[name].verdict.value for name in CHECK_NAMES}
             preimage = obstruction = None
             if key in positives:
@@ -305,26 +303,36 @@ def write_catalogue(entries: list[CatalogueEntry], directory: str | Path) -> lis
 
 
 def load_catalogue(directory: str | Path) -> list[CatalogueEntry]:
-    directory = Path(directory)
+    """Every entry under ``directory``; a line that is not an entry raises
+    ValueError naming ``path:line``."""
     entries = []
-    for path in sorted(directory.glob("catalogue-n*.jsonl")):
+    for path in sorted(Path(directory).glob("catalogue-n*.jsonl")):
         with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
                     entries.append(CatalogueEntry.from_json(json.loads(line)))
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return entries
 
 
 def load_reference_positives(path: str | Path) -> set[str]:
-    """Read a graph6-per-line reference list into canonical forms."""
+    """Read a graph6-per-line reference list into canonical forms; a line
+    that is not graph6 raises ValueError naming ``path:line``."""
     keys = set()
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for lineno, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
                 continue
-            keys.add(canonical_form(parse_graph6(line)))
+            try:
+                keys.add(canonical_form(parse_graph6(line)))
+            except Graph6Error as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return keys
 
 

@@ -337,9 +337,7 @@ def test_criterion_6_induced_subgraph_containment():
             for mask in range(3, 1 << n):
                 if mask.bit_count() < 2:
                     continue
-                sub, _labels = induced_subgraph(
-                    g, [v for v in range(n) if (mask >> v) & 1]
-                )
+                sub = induced_subgraph(g, [v for v in range(n) if (mask >> v) & 1])
                 if not is_connected(sub):
                     continue
                 kb_sub, _ = biclique_graph(sub)

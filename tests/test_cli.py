@@ -75,6 +75,11 @@ class TestUnreadableInputs:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("<stdin>:1: ") and err.count("\n") == 1
 
+    def test_graph6_offset_counts_from_the_line_as_read(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["kb"], stdin="  >>graph6<<B\x07w\n", monkeypatch=monkeypatch)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("<stdin>:1: ") and err.endswith("(byte offset 13)\n")
+
     @pytest.mark.parametrize("command", ["bicliques", "kb", "distance", "check", "recognize"])
     def test_missing_file_and_directory_are_input_errors(self, command, tmp_path, capsys):
         good = write_g6(tmp_path, "good.g6", complete_graph(3))
@@ -360,6 +365,54 @@ class TestConjecturesCommand:
             capsys, ["conjectures", "--catalogue", str(tmp_path / "nothing")]
         )
         assert code == EXIT_PARSE
+
+
+class TestWholeCommandErrors:
+    """A file or format error that ends ``catalogue`` or ``conjectures`` is
+    one stderr line and exit 1, not a traceback."""
+
+    @staticmethod
+    def catalogue(capsys, out, *extra):
+        argv = ["catalogue", "--max-g-order", "3", "--max-h-order", "4", "--workers", "1"]
+        return run(capsys, argv + ["--out", str(out), *extra])
+
+    def test_fixture_that_is_a_directory(self, tmp_path, capsys):
+        code, out, err = self.catalogue(capsys, tmp_path / "cat", "--fixture", str(tmp_path))
+        assert code == EXIT_PARSE
+        assert err.count("\n") == 1 and "Is a directory" in err
+
+    def test_fixture_line_that_is_not_graph6(self, tmp_path, capsys):
+        fixture = tmp_path / "ref.g6"
+        fixture.write_text("# reference\nA_\nnot graph6\n")
+        code, out, err = self.catalogue(capsys, tmp_path / "cat", "--fixture", str(fixture))
+        assert code == EXIT_PARSE
+        assert err.startswith(f"{fixture}:3: ") and err.count("\n") == 1
+
+    def test_out_that_is_an_existing_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = self.catalogue(capsys, taken)
+        assert code == EXIT_PARSE
+        assert err.count("\n") == 1 and "File exists" in err
+
+    @pytest.mark.parametrize(
+        "line, message", [("{not json", "Expecting property name"), ('{"graph6":"A_"}', "missing key")]
+    )
+    def test_malformed_catalogue_line(self, line, message, tmp_path, capsys):
+        path = tmp_path / "catalogue-n2.jsonl"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, ["conjectures", "--catalogue", str(tmp_path)])
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith(f"{path}:1: ") and message in err and err.count("\n") == 1
+
+    def test_findings_out_in_a_missing_directory(self, tmp_path, capsys):
+        self.catalogue(capsys, tmp_path / "cat")
+        findings = tmp_path / "missing" / "x.jsonl"
+        code, out, err = run(
+            capsys, ["conjectures", "--catalogue", str(tmp_path / "cat"), "--out", str(findings)]
+        )
+        assert code == EXIT_PARSE and out == ""
+        assert err.count("\n") == 1 and "No such file or directory" in err
 
 
 class TestEnvironmentWorkerDefault:

@@ -10,6 +10,11 @@ A larger pair of streams holds the 853 connected graphs on 7 vertices and
 their biclique graphs.  Those digests were recorded before the library's
 duplicated primitives (connectivity, diamond and clique tests, biclique
 sides, generation) were folded into one implementation each.
+
+The catalogue on 2..6 vertices with hosts up to 7 vertices (its JSONL bytes)
+and the ``conjectures`` scans over it under both containment readings (exit
+code and stdout) were recorded before the distance BFS, the gem wings, the
+conjecture verdicts and the host walk were folded.
 """
 
 from __future__ import annotations
@@ -87,6 +92,14 @@ ORDER_7_GOLDEN = {
 }
 
 
+CATALOGUE_6_7_SHA256 = "28198b03fadfedcc37a90c383ce59f1811e079c8af777f8df3fab24c5d7f1188"
+
+CONJECTURES_GOLDEN = {
+    "exact": (0, "98dae14b9c30fe9b5f0ed247bb467b3a23b84b0942c6b273e9ac825044d5e1d7"),
+    "superset": (4, "fd791d9508e1c61f8d205834ead4e0c21bd281d77d39c479256da0431339e158"),
+}
+
+
 def _digest(argv, stdin, capsys, monkeypatch) -> str:
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(list(argv))
@@ -116,3 +129,27 @@ def test_order_7_streams_are_the_recorded_ones():
 def test_order_7_stdout_and_exit_code_unchanged(name, capsys, monkeypatch):
     argv, text = ORDER_7_COMMANDS[name]
     assert _digest(argv, text, capsys, monkeypatch) == ORDER_7_GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def catalogue_6_7(tmp_path_factory):
+    out = tmp_path_factory.mktemp("catalogue")
+    argv = ["catalogue", "--max-g-order", "6", "--max-h-order", "7", "--workers", "1"]
+    # exit 3: the default reference lists positives that need 8- and 9-vertex hosts
+    assert main(argv + ["--out", str(out)]) == 3
+    return out
+
+
+def test_catalogue_jsonl_unchanged(catalogue_6_7):
+    paths = sorted(catalogue_6_7.glob("catalogue-n*.jsonl"))
+    assert [p.name for p in paths] == [f"catalogue-n{k}.jsonl" for k in range(2, 7)]
+    data = b"".join(p.read_bytes() for p in paths)
+    assert hashlib.sha256(data).hexdigest() == CATALOGUE_6_7_SHA256
+
+
+@pytest.mark.parametrize("containment", sorted(CONJECTURES_GOLDEN))
+def test_conjectures_stdout_and_exit_code_unchanged(containment, catalogue_6_7, capsys):
+    capsys.readouterr()
+    code = main(["conjectures", "--catalogue", str(catalogue_6_7), "--containment", containment])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CONJECTURES_GOLDEN[containment]

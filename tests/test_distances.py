@@ -84,6 +84,25 @@ class TestDistanceFormula:
             assert b in fam[r.i] and b_prime in fam[r.j]
             assert vertex_distance(g, b, b_prime) == r.d_g
 
+    def test_closest_pair_is_the_definition_literal_choice(self):
+        # v: the least vertex of B_j nearest to B_i; u: the least vertex of
+        # B_i at distance d_g from v
+        from biclique_lab.graphs import distance as vertex_distance
+
+        for n in range(2, 7):  # K1 has no biclique
+            for g in enumerate_connected_graphs(n):
+                family = enumerate_bicliques(g)
+                for r in distance_reports(g):
+                    side_i, side_j = family[r.i].vertices, family[r.j].vertices
+
+                    def to_side_i(v):
+                        return min(vertex_distance(g, u, v) for u in side_i)
+
+                    d_g = min(to_side_i(v) for v in side_j)
+                    v = min(v for v in side_j if to_side_i(v) == d_g)
+                    u = min(u for u in side_i if vertex_distance(g, u, v) == d_g)
+                    assert r.closest_pair == (u, v), (g, r.i, r.j)
+
     def test_small_corpus_exact(self):
         for n in range(2, 6):
             for g in enumerate_connected_graphs(n):

@@ -51,6 +51,13 @@ def test_character_out_of_range_names_offset():
     assert info.value.offset == 1
 
 
+def test_offset_counts_from_the_line_as_read():
+    # two spaces and the 10-byte header come before the bad byte
+    with pytest.raises(Graph6Error) as info:
+        parse_graph6("  >>graph6<<B\x07w\n")
+    assert info.value.offset == 13
+
+
 @pytest.mark.parametrize("text, offset", [("E\u00e9~w", 1), ("Bw\u00ff", 2)])
 def test_non_ascii_character_rejected_at_its_offset(text, offset):
     # non-ASCII must not turn into a replacement '?', which is valid graph6

@@ -101,7 +101,7 @@ class TestConnectivity:
     def test_gem_biconnected(self):
         # derived by deleting each vertex in turn
         for v in range(5):
-            rest, _ = induced_subgraph(GEM.graph, [u for u in range(5) if u != v])
+            rest = induced_subgraph(GEM.graph, [u for u in range(5) if u != v])
             assert is_connected(rest)
         assert is_biconnected(GEM.graph)
 
