@@ -33,6 +33,7 @@ import argparse
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .bicliques import biclique_graph
@@ -51,6 +52,7 @@ from .obstructions import classify
 from .recognition import (
     BICLIQUE_GRAPH,
     build_catalogue,
+    check_catalogue_bounds,
     compare_with_reference,
     default_reference_path,
     default_worker_count,
@@ -216,11 +218,11 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 def _cmd_catalogue(args: argparse.Namespace) -> int:
     workers = default_worker_count() if args.workers is None else args.workers
+    check_catalogue_bounds(args.max_g_order, args.max_h_order)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep
     entries = build_catalogue(args.max_g_order, args.max_h_order, workers=workers)
     paths = write_catalogue(entries, args.out_dir)
-    totals: dict[str, int] = {}
-    for entry in entries:
-        totals[entry.classification] = totals.get(entry.classification, 0) + 1
+    totals = Counter(entry.classification for entry in entries)
     for classification in sorted(totals):
         print(f"{classification}\t{totals[classification]}")
     for path in paths:
@@ -253,11 +255,7 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
     if not entries:
         print(f"no catalogue entries under {args.catalogue_dir}", file=sys.stderr)
         return EXIT_PARSE
-    certified = [
-        (entry.graph6, entry.graph)
-        for entry in entries
-        if entry.classification == BICLIQUE_GRAPH
-    ]
+    certified = [entry.graph for entry in entries if entry.classification == BICLIQUE_GRAPH]
     findings = scan_certified_graphs(
         certified, i_max=args.i_max, containment=args.containment
     )
@@ -269,10 +267,7 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
     else:
         for line in lines:
             print(line)
-    counter: dict[tuple[str, str], int] = {}
-    for finding in findings:
-        key = (finding.conjecture, finding.verdict)
-        counter[key] = counter.get(key, 0) + 1
+    counter = Counter((finding.conjecture, finding.verdict) for finding in findings)
     for (conjecture, verdict), count in sorted(counter.items()):
         print(f"{conjecture}\t{verdict}\t{count}")
     if any(f.verdict == "counterexample" for f in findings):

@@ -28,7 +28,7 @@ more vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .graphs import Graph, CapabilityError, _bits, _require_connected
+from .graphs import Graph, CapabilityError, _bits, _require_connected, write_graph6
 from .obstructions import _is_diamond
 
 #: Full-subfamily Helly checks are exponential in the family size.
@@ -85,16 +85,16 @@ def non_helly_subfamily(sets: list[int]) -> tuple[int, ...] | None:
     return grow([], ~0, 0)
 
 
-def check_simplicial_helly(g: Graph, graph6: str = "") -> ConjectureFinding:
+def check_simplicial_helly(g: Graph) -> ConjectureFinding:
     _require_connected(g)
     simplicial = simplicial_vertices(g)
     closed = [g.adj[v] | (1 << v) for v in simplicial]
     bad = non_helly_subfamily(closed)
     if bad is None:
-        return ConjectureFinding("simplicial-helly", graph6, "consistent")
+        return ConjectureFinding("simplicial-helly", write_graph6(g), "consistent")
     return ConjectureFinding(
         "simplicial-helly",
-        graph6,
+        write_graph6(g),
         "counterexample",
         witness=tuple(simplicial[k] for k in bad),
         note="pairwise-meeting simplicial closed neighbourhoods with empty core",
@@ -171,7 +171,7 @@ def find_generalized_twins(
 
 def _forbidden_configuration(
     conjecture: str,
-    graph6: str,
+    g: Graph,
     certified: bool,
     notes: tuple[str, str],
     witness: tuple | None = None,
@@ -179,12 +179,11 @@ def _forbidden_configuration(
     """A forbidden configuration is a counterexample only on a certified
     biclique graph, otherwise consistent; ``notes`` is (certified, otherwise)."""
     verdict, note = ("counterexample", notes[0]) if certified else ("consistent", notes[1])
-    return ConjectureFinding(conjecture, graph6, verdict, witness, note)
+    return ConjectureFinding(conjecture, write_graph6(g), verdict, witness, note)
 
 
 def check_generalized_twins(
     g: Graph,
-    graph6: str = "",
     i_max: int | None = None,
     containment: str = "exact",
     certified: bool = False,
@@ -194,17 +193,17 @@ def check_generalized_twins(
     _require_connected(g)
     if _is_diamond(g):
         return ConjectureFinding(
-            "generalized-twins", graph6, "not-applicable", note="the diamond is exempt"
+            "generalized-twins", write_graph6(g), "not-applicable", note="the diamond is exempt"
         )
     witness = find_generalized_twins(g, i_max=i_max, containment=containment)
     if witness is None:
-        return ConjectureFinding("generalized-twins", graph6, "consistent")
+        return ConjectureFinding("generalized-twins", write_graph6(g), "consistent")
     flat = (witness["vertices"], witness["i"], witness["common_neighbourhood"], witness["clique"])
     notes = (
         "shared neighbourhood inside a K_i in a certified biclique graph",
         "configuration present but the graph is not a certified biclique graph",
     )
-    return _forbidden_configuration("generalized-twins", graph6, certified, notes, flat)
+    return _forbidden_configuration("generalized-twins", g, certified, notes, flat)
 
 
 def _rotation_extension_cycle(g: Graph) -> tuple[int, ...] | None:
@@ -306,34 +305,34 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def check_hamiltonian(g: Graph, graph6: str = "", certified: bool = False) -> ConjectureFinding:
+def check_hamiltonian(g: Graph, certified: bool = False) -> ConjectureFinding:
     _require_connected(g)
     if g.n < 3:
         return ConjectureFinding(
-            "hamiltonian", graph6, "not-applicable", note="needs at least 3 vertices"
+            "hamiltonian", write_graph6(g), "not-applicable", note="needs at least 3 vertices"
         )
     cycle = hamiltonian_cycle(g)
     if cycle is not None:
-        return ConjectureFinding("hamiltonian", graph6, "consistent", witness=(cycle,))
+        return ConjectureFinding("hamiltonian", write_graph6(g), "consistent", witness=(cycle,))
     notes = (
         "certified biclique graph with no Hamiltonian cycle",
         "non-Hamiltonian but not a certified biclique graph",
     )
-    return _forbidden_configuration("hamiltonian", graph6, certified, notes)
+    return _forbidden_configuration("hamiltonian", g, certified, notes)
 
 
 def scan_certified_graphs(
-    certified: list[tuple[str, Graph]],
+    certified: list[Graph],
     i_max: int | None = None,
     containment: str = "exact",
 ) -> list[ConjectureFinding]:
-    """All three scans over (graph6, graph) pairs of certified biclique
-    graphs; findings stream in a deterministic order."""
+    """All three scans over certified biclique graphs; findings stream in a
+    deterministic order."""
     findings = []
-    for graph6, g in certified:
-        findings.append(check_simplicial_helly(g, graph6))
+    for g in certified:
+        findings.append(check_simplicial_helly(g))
         findings.append(
-            check_generalized_twins(g, graph6, i_max=i_max, containment=containment, certified=True)
+            check_generalized_twins(g, i_max=i_max, containment=containment, certified=True)
         )
-        findings.append(check_hamiltonian(g, graph6, certified=True))
+        findings.append(check_hamiltonian(g, certified=True))
     return findings

@@ -320,11 +320,7 @@ def cut_vertices(g: Graph) -> tuple[int, ...]:
 
 def is_biconnected(g: Graph) -> bool:
     """Connected with no cut vertex; K1 and K2 count as 2-connected here."""
-    if not is_connected(g):
-        return False
-    if g.n <= 2:
-        return True
-    return not cut_vertices(g)
+    return is_connected(g) and not cut_vertices(g)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .bicliques import biclique_graph, biclique_graph_with_limit
 from .graphs import (
+    MAX_GENERATION_ORDER,
     CapabilityError,
     Graph,
     Graph6Error,
@@ -40,11 +41,10 @@ from .graphs import (
 )
 from .obstructions import CHECK_NAMES, classify
 
-#: Host orders above this are out of the supported exhaustive regime.
-#: Order 9 streams augmentations of the 8-vertex corpus: every 9-vertex
-#: connected graph appears (possibly repeatedly), which keeps the search
-#: exhaustive over isomorphism classes without materialising the classes.
-MAX_PREIMAGE_ORDER = 9
+#: Host orders above this are out of the supported exhaustive regime.  One
+#: augmentation beyond generation: every connected graph of this order appears
+#: (possibly repeatedly), exhaustive over classes without materialising them.
+MAX_PREIMAGE_ORDER = MAX_GENERATION_ORDER + 1
 
 #: Hosts per unit of work in ``positive_preimages``.
 _CHUNK_SIZE = 256
@@ -111,15 +111,22 @@ def _check_bounds(max_g_order: int, max_h_order: int) -> None:
         raise CapabilityError("catalogue needs max_g_order >= 2")
 
 
+def check_catalogue_bounds(max_g_order: int, max_h_order: int) -> None:
+    """CapabilityError unless ``build_catalogue`` supports these bounds."""
+    _check_bounds(max_g_order, max_h_order)
+    if max_h_order < max_g_order:
+        raise CapabilityError("max_h_order must be at least max_g_order")
+
+
 def _hosts(max_h_order: int) -> Iterator[Graph]:
     """Connected hosts on 2..max_h_order vertices, in generation order:
-    isomorphism-class representatives up to order 8, then at order 9 every
-    augmentation of the 8-vertex corpus by one vertex with a nonempty
-    neighbourhood (covers all classes, with repetitions, in a fixed order)."""
-    for n in range(2, min(max_h_order, 8) + 1):
+    class representatives up to MAX_GENERATION_ORDER, then every augmentation
+    of that corpus by one vertex with a nonempty neighbourhood (covers all
+    classes of MAX_PREIMAGE_ORDER, with repetitions, in a fixed order)."""
+    for n in range(2, min(max_h_order, MAX_GENERATION_ORDER) + 1):
         yield from enumerate_connected_graphs(n)
-    if max_h_order >= 9:
-        for parent in enumerate_connected_graphs(8):
+    if max_h_order >= MAX_PREIMAGE_ORDER:
+        for parent in enumerate_connected_graphs(MAX_GENERATION_ORDER):
             yield from _augmentations(parent)
 
 
@@ -217,9 +224,7 @@ def build_catalogue(
     unknown within the searched bound.  A class both realised and excluded
     would mean an implementation bug and raises immediately.
     """
-    _check_bounds(max_g_order, max_h_order)
-    if max_h_order < max_g_order:
-        raise CapabilityError("max_h_order must be at least max_g_order")
+    check_catalogue_bounds(max_g_order, max_h_order)
     positives = positive_preimages(max_g_order, max_h_order, workers=workers)
     entries: list[CatalogueEntry] = []
     for n in range(2, max_g_order + 1):

@@ -357,15 +357,15 @@ def test_criterion_7_conjecture_scans(catalogue68, host_scan):
     superset_hits = {}
     for e in certified:
         g = e.graph
-        assert check_simplicial_helly(g, e.graph6).verdict == "consistent"
-        exact = check_generalized_twins(g, e.graph6, containment="exact", certified=True)
+        assert check_simplicial_helly(g).verdict == "consistent"
+        exact = check_generalized_twins(g, containment="exact", certified=True)
         assert exact.verdict in ("consistent", "not-applicable"), e.graph6
         superset = check_generalized_twins(
-            g, e.graph6, containment="superset", certified=True
+            g, containment="superset", certified=True
         )
         if superset.verdict == "counterexample":
             superset_hits[e.graph6] = (e, superset.witness)
-        ham = check_hamiltonian(g, e.graph6, certified=True)
+        ham = check_hamiltonian(g, certified=True)
         assert ham.verdict in ("consistent", "not-applicable"), e.graph6
 
     # the superset reading is refuted: frozen, so a member added or lost fails

@@ -395,6 +395,29 @@ class TestWholeCommandErrors:
         assert code == EXIT_PARSE
         assert err.count("\n") == 1 and "File exists" in err
 
+    def test_out_that_is_an_existing_file_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        from biclique_lab import cli
+
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the catalogue was built before --out was checked")
+
+        monkeypatch.setattr(cli, "build_catalogue", no_sweep)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = self.catalogue(capsys, taken)
+        assert code == EXIT_PARSE
+        assert err.count("\n") == 1 and "File exists" in err
+
+    @pytest.mark.parametrize("bounds", [("5", "4"), ("3", "10"), ("1", "4")])
+    def test_bound_error_creates_no_directory(self, bounds, tmp_path, capsys):
+        out = tmp_path / "cat"
+        code, _, err = run(
+            capsys,
+            ["catalogue", "--max-g-order", bounds[0], "--max-h-order", bounds[1], "--out", str(out)],
+        )
+        assert code == EXIT_CAPABILITY and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, message", [("{not json", "Expecting property name"), ('{"graph6":"A_"}', "missing key")]
     )
