@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bicliques import BicliqueFamily, biclique_graph
-from .graphs import Graph, GraphError, _bits, distances_from
+from .graphs import Graph, GraphError, _bits, _layers, distances_from
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,9 @@ class DistanceFormulaViolation(AssertionError):
 def _meet(g: Graph, source: int, target: int) -> tuple[int, int]:
     """Multi-source BFS from the ``source`` mask, stopped at the first layer
     meeting ``target``: that layer's distance and its ``target`` vertices."""
-    frontier = seen = source
-    d = 0
-    while frontier:
-        hit = frontier & target
-        if hit:
+    for d, layer in enumerate(_layers(g, source)):
+        if hit := layer & target:
             return d, hit
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
     raise GraphError("bicliques lie in different components")
 
 

@@ -253,21 +253,25 @@ def write_graph6(g: Graph) -> str:
 # distances and connectivity
 
 
-def distances_from(g: Graph, sources: int) -> list[int | float]:
-    """BFS distances from the ``sources`` bitmask (INFINITY if unreachable)."""
-    dist: list[int | float] = [INFINITY] * g.n
-    frontier = sources
-    seen = sources
-    d = 0
+def _layers(g: Graph, sources: int, within: int = -1) -> Iterator[int]:
+    """The BFS layers from the ``sources`` mask, as masks, moving only
+    through the vertices of ``within`` (every vertex by default)."""
+    frontier = seen = sources
     while frontier:
-        for v in _bits(frontier):
-            dist[v] = d
+        yield frontier
         nxt = 0
         for v in _bits(frontier):
             nxt |= g.adj[v]
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
-        d += 1
+
+
+def distances_from(g: Graph, sources: int) -> list[int | float]:
+    """BFS distances from the ``sources`` bitmask (INFINITY if unreachable)."""
+    dist: list[int | float] = [INFINITY] * g.n
+    for d, layer in enumerate(_layers(g, sources)):
+        for v in _bits(layer):
+            dist[v] = d
     return dist
 
 
@@ -291,19 +295,9 @@ def _require_connected(g: Graph) -> None:
 
 
 def _connected_within(g: Graph, mask: int) -> bool:
-    # Is the induced subgraph on the ``mask`` vertices connected?
-    if mask == 0:
-        return True
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v] & mask
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == mask
+    # Is the induced subgraph on the ``mask`` vertices connected?  The layers
+    # are disjoint, so their sum is the component of the least vertex.
+    return sum(_layers(g, mask & -mask, mask)) == mask
 
 
 def cut_vertices(g: Graph) -> tuple[int, ...]:
@@ -330,22 +324,19 @@ def is_biconnected(g: Graph) -> bool:
 # relabeling of g.  graph6 orders the adjacency bits column by column --
 # (0,1), (0,2), (1,2), (0,3), ... -- so the least bit string can be found by
 # growing a vertex ordering one position at a time: placing vertex p_k fixes
-# the k bits adj(p_0,p_k)..adj(p_{k-1},p_k) and nothing earlier.  A
-# branch-and-bound over orderings with per-position pruning is exact and fast
-# at the orders used here.
+# column k, the k bits adj(p_0,p_k)..adj(p_{k-1},p_k), and nothing earlier.
+# A branch-and-bound over orderings with per-position pruning is exact and
+# fast at the orders used here; it keeps the least columns, not an ordering.
 
 _BITS_SENTINEL = 1 << 63
 
 
-def _canonical_order(n: int, adj: Sequence[int]) -> list[int]:
-    if n == 1:
-        return [0]
+def _canonical_columns(n: int, adj: Sequence[int]) -> list[int]:
+    """Column k of the lexicographically least relabelled adjacency, as a
+    k-bit int with adj(p_0,p_k) most significant, for every k < n."""
     best = [_BITS_SENTINEL] * n
-    best_order: list[int] | None = None
-    order = [0] * n
 
     def place(pos: int, bits_by_vertex: dict[int, int]) -> None:
-        nonlocal best_order
         groups: dict[int, list[int]] = {}
         for v, b in bits_by_vertex.items():
             groups.setdefault(b, []).append(v)
@@ -356,38 +347,31 @@ def _canonical_order(n: int, adj: Sequence[int]) -> list[int]:
                 best[pos] = b
                 for k in range(pos + 1, n):
                     best[k] = _BITS_SENTINEL
-                best_order = None
+            if pos + 1 == n:
+                return
+            # Swapping twins v, w (equal neighbourhoods apart from v and w) is an
+            # automorphism fixing the placed prefix, so w after v gives the same
+            # columns.  Adjacent twins have equal closed neighbourhoods, others
+            # equal open ones; no open neighbourhood equals a closed one.
+            tried: set[int] = set()
             for v in groups[b]:
-                order[pos] = v
-                if pos + 1 == n:
-                    if best_order is None:
-                        best_order = order.copy()
-                else:
-                    nxt = {
-                        u: (ub << 1) | ((adj[u] >> v) & 1)
-                        for u, ub in bits_by_vertex.items()
-                        if u != v
-                    }
-                    place(pos + 1, nxt)
+                if adj[v] in tried or adj[v] | 1 << v in tried:
+                    continue
+                tried.update((adj[v], adj[v] | 1 << v))
+                nxt = {
+                    u: (ub << 1) | ((adj[u] >> v) & 1)
+                    for u, ub in bits_by_vertex.items()
+                    if u != v
+                }
+                place(pos + 1, nxt)
 
-    for v0 in range(n):
-        order[0] = v0
-        place(1, {u: (adj[u] >> v0) & 1 for u in range(n) if u != v0})
-    assert best_order is not None
-    return best_order
+    place(0, dict.fromkeys(range(n), 0))
+    return best
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labelled copy of ``g`` (order <= MAX_CANONICAL_ORDER)."""
-    if g.n > MAX_CANONICAL_ORDER:
-        raise CapabilityError(
-            f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}"
-        )
-    order = _canonical_order(g.n, g.adj)
-    perm = [0] * g.n
-    for position, v in enumerate(order):
-        perm[v] = position
-    return permuted(g, perm)
+    return parse_graph6(canonical_form(g))
 
 
 def canonical_form(g: Graph) -> str:
@@ -395,7 +379,15 @@ def canonical_form(g: Graph) -> str:
 
     Equals ``min(write_graph6(permuted(g, p)) for every permutation p)``.
     """
-    return write_graph6(canonical_graph(g))
+    if g.n > MAX_CANONICAL_ORDER:
+        raise CapabilityError(
+            f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}"
+        )
+    columns = _canonical_columns(g.n, g.adj)
+    bits = "".join(f"{columns[k]:0{k}b}" for k in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    body = (chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
+    return chr(63 + g.n) + "".join(body)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

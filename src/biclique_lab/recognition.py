@@ -56,6 +56,9 @@ BICLIQUE_GRAPH = "biclique-graph"
 NOT_BICLIQUE_GRAPH = "not-biclique-graph"
 UNKNOWN = "unknown-within-bound"
 
+#: The files of a catalogue directory, one per order.
+_CATALOGUE_FILES = "catalogue-n*.jsonl"
+
 
 @dataclass(frozen=True)
 class CatalogueEntry:
@@ -246,7 +249,7 @@ def build_catalogue(
                 result = report.checks[failing]
                 obstruction = {
                     "check": failing,
-                    "witness": list(result.witness) if result.witness else None,
+                    "witness": result.to_json().get("witness"),
                     "note": result.note,
                 }
             else:
@@ -291,7 +294,8 @@ def verify_entry(entry: CatalogueEntry) -> bool:
 
 
 def write_catalogue(entries: list[CatalogueEntry], directory: str | Path) -> list[Path]:
-    """One JSON-lines file per order: ``catalogue-n<k>.jsonl``."""
+    """One JSON-lines file per order: ``catalogue-n<k>.jsonl``.  Every other
+    such file in ``directory`` is removed, so it holds this catalogue alone."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_order: dict[int, list[CatalogueEntry]] = {}
@@ -304,6 +308,8 @@ def write_catalogue(entries: list[CatalogueEntry], directory: str | Path) -> lis
             for entry in sorted(by_order[order], key=lambda e: e.graph6):
                 handle.write(json.dumps(entry.to_json(), separators=(",", ":")) + "\n")
         paths.append(path)
+    for stale in set(directory.glob(_CATALOGUE_FILES)) - set(paths):
+        stale.unlink()
     return paths
 
 
@@ -311,7 +317,7 @@ def load_catalogue(directory: str | Path) -> list[CatalogueEntry]:
     """Every entry under ``directory``; a line that is not an entry raises
     ValueError naming ``path:line``."""
     entries = []
-    for path in sorted(Path(directory).glob("catalogue-n*.jsonl")):
+    for path in sorted(Path(directory).glob(_CATALOGUE_FILES)):
         with open(path) as handle:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():

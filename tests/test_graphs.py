@@ -143,6 +143,31 @@ class TestCanonicalForm:
         with pytest.raises(CapabilityError):
             canonical_form(complete_graph(13))
 
+    def test_complete_multipartite_and_complements_match_brute_force(self):
+        def partitions(n, largest):
+            if n == 0:
+                yield ()
+            for part in range(min(n, largest), 0, -1):
+                for rest in partitions(n - part, part):
+                    yield (part,) + rest
+
+        for n in range(1, 8):
+            for parts in partitions(n, n):
+                side = [i for i, size in enumerate(parts) for _ in range(size)]
+                pairs = [(u, v) for v in range(n) for u in range(v)]
+                multipartite = Graph(n, [(u, v) for u, v in pairs if side[u] != side[v]])
+                cliques = Graph(n, [(u, v) for u, v in pairs if side[u] == side[v]])
+                for g in (multipartite, cliques):
+                    assert canonical_form(g) == canonical_oracle(g), parts
+
+    def test_twin_rich_order_12(self):
+        # Twin-rich: trying every ordering of the twins would take hours.
+        assert canonical_form(complete_graph(12)) == "K" + "~" * 11
+        # One side placed first, then the other, is the least labelling.
+        blocks = Graph(12, [(u, v) for u in range(6) for v in range(6, 12)])
+        interleaved = Graph(12, [(u, v) for u in range(0, 12, 2) for v in range(1, 12, 2)])
+        assert canonical_form(interleaved) == write_graph6(blocks)
+
     @settings(max_examples=120)
     @given(graphs(max_order=7), st.data())
     def test_invariant_under_relabeling(self, g, data):

@@ -161,6 +161,20 @@ class TestPersistence:
         loaded = load_catalogue(tmp_path)
         assert loaded == sorted(entries, key=lambda e: (e.order, e.graph6))
 
+    def test_entries_survive_the_round_trip(self, tmp_path):
+        # Order 6 holds obstruction witnesses with nested tuples (Hajos).
+        entries = build_catalogue(6, 6)
+        write_catalogue(entries, tmp_path)
+        assert load_catalogue(tmp_path) == sorted(entries, key=lambda e: (e.order, e.graph6))
+
+    def test_rerun_replaces_every_order(self, tmp_path):
+        write_catalogue(build_catalogue(4, 5), tmp_path)
+        entries = build_catalogue(3, 4)
+        write_catalogue(entries, tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["catalogue-n2.jsonl", "catalogue-n3.jsonl"]
+        assert load_catalogue(tmp_path) == sorted(entries, key=lambda e: (e.order, e.graph6))
+
     def test_reference_comparison(self, tmp_path):
         entries = build_catalogue(3, 4)
         reference = tmp_path / "ref.g6"
