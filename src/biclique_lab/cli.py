@@ -275,11 +275,17 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", help="reference graph6 list to compare against")
     p.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=None,
         help="worker processes (default: BICLIQUE_LAB_WORKERS, else the CPU count)",
     )
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("conjectures", "scan catalogue positives", _cmd_conjectures, inputs=False)
     p.add_argument("--catalogue", dest="catalogue_dir", required=True)
     p.add_argument("--out", dest="findings_out", help="findings JSONL path")
-    p.add_argument("--i-max", dest="i_max", type=int, default=None)
+    p.add_argument("--i-max", dest="i_max", type=_int_at_least(2), default=None)
     p.add_argument("--containment", choices=("exact", "superset"), default="exact")
     return parser
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .graphs import Graph, CapabilityError, _bits, _require_connected, write_graph6
-from .obstructions import _is_diamond
+from .obstructions import _is_diamond, _jsonable
 
 #: Full-subfamily Helly checks are exponential in the family size.
 MAX_HELLY_FAMILY = 16
@@ -53,7 +53,7 @@ class ConjectureFinding:
             "verdict": self.verdict,
         }
         if self.witness is not None:
-            data["witness"] = [list(w) if isinstance(w, tuple) else w for w in self.witness]
+            data["witness"] = _jsonable(self.witness)
         if self.note:
             data["note"] = self.note
         return data
@@ -137,10 +137,12 @@ def iter_generalized_twins(g: Graph, i_max: int | None = None, containment: str 
 
     ``containment="exact"`` wants a complete subgraph on exactly i vertices,
     ``"superset"`` accepts any complete subgraph on >= i vertices.  Witness
-    dicts re-validate against the graph.
+    dicts re-validate against the graph.  ``i_max`` below 2 is a ValueError.
     """
     if containment not in ("exact", "superset"):
         raise ValueError("containment must be 'exact' or 'superset'")
+    if i_max is not None and i_max < 2:
+        raise ValueError(f"i_max must be at least 2, got {i_max}")
     limit = g.n if i_max is None else i_max
     groups: dict[int, list[int]] = {}
     for v in range(g.n):

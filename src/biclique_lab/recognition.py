@@ -6,11 +6,11 @@ obstruction check.  Neither may be possible within the searched bound, in
 which case the entry stays unknown and records the bound, so catalogue
 claims are never stronger than the search actually performed.
 
-The catalogue build enumerates every connected host H up to ``max_h_order``
-once, in generation order, computes KB(H), and keeps the first host hitting
-each isomorphism class of order <= ``max_g_order``.  Classes never hit are
-classified by the obstruction battery.  Positive and negative evidence is
-re-derivable: ``verify_entry`` recomputes it from scratch.
+One sweep serves the catalogue and ``search_preimage``: it enumerates every
+connected host H up to ``max_h_order`` once, in generation order, computes
+KB(H), and keeps the first host hitting each class of order <= ``max_g_order``.
+Catalogue classes never hit are classified by the obstruction battery.
+Positive and negative evidence is re-derivable: ``verify_entry`` recomputes it.
 """
 
 from __future__ import annotations
@@ -136,29 +136,27 @@ def _hosts(max_h_order: int) -> Iterator[Graph]:
 def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     """First connected H (in generation order) with KB(H) isomorphic to g.
 
-    Hosts whose biclique count overshoots g's order are discarded early.
-    Exhaustive over isomorphism classes up to ``max_h_order``; None means no
-    preimage exists within the bound.
+    The sweep behind ``positive_preimages``, keying g's order only, up to the
+    first host hitting g's class: exhaustive over isomorphism classes up to
+    ``max_h_order``, so None means no preimage exists within the bound.
     """
     _check_bounds(max(g.n, 2), max_h_order)
     _require_connected(g)
-    target = canonical_form(g)
-    for host in _hosts(max_h_order):
-        kb, _ = biclique_graph_with_limit(host, g.n)
-        if kb is not None and kb.n == g.n and canonical_form(kb) == target:
-            return host
-    return None
+    target = canonical_form(g)  # before the sweep, so too large a g fails at once
+    hits = (adj for adj, key in _swept(range(g.n, g.n + 1), max_h_order, 1) if key == target)
+    return next((Graph._raw(len(adj), adj) for adj in hits), None)
 
 
-def _positives_chunk(args: tuple[int, list[tuple[int, ...]]]) -> list[str | None]:
-    """Per host adjacency: canonical KB(H) when 2 <= |KB(H)| <= max_g_order,
-    else None."""
-    max_g_order, hosts = args
-    out: list[str | None] = []
-    for adj in hosts:
-        kb, _ = biclique_graph_with_limit(Graph._raw(len(adj), adj), max_g_order)
-        out.append(None if kb is None or kb.n < 2 else canonical_form(kb))
-    return out
+def _kb_key(host: Graph, orders: range) -> str | None:
+    """Canonical KB(host) when its order is in orders, else None."""
+    kb, _ = biclique_graph_with_limit(host, orders[-1])
+    return canonical_form(kb) if kb is not None and kb.n in orders else None
+
+
+def _positives_chunk(args: tuple[range, list[tuple[int, ...]]]) -> list[str | None]:
+    """``_kb_key`` of each host adjacency in a chunk: one pool task."""
+    orders, hosts = args
+    return [_kb_key(Graph._raw(len(adj), adj), orders) for adj in hosts]
 
 
 def _host_chunks(max_h_order: int) -> Iterator[list[tuple[int, ...]]]:
@@ -169,36 +167,37 @@ def _host_chunks(max_h_order: int) -> Iterator[list[tuple[int, ...]]]:
         yield chunk
 
 
+def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple]:
+    """(adjacency, ``_kb_key``) of every host, in generation order: the
+    preimage sweep.  Serial with one worker, so a reader may stop early;
+    otherwise a process pool maps chunks of hosts, at most _CHUNKS_IN_FLIGHT
+    at a time, and they are read back in chunk order."""
+    if workers == 1:
+        for host in _hosts(max_h_order):
+            yield host.adj, _kb_key(host, orders)
+        return
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        pending: deque = deque()
+        for chunk in _host_chunks(max_h_order):
+            pending.append((chunk, pool.submit(_positives_chunk, (orders, chunk))))
+            if len(pending) >= _CHUNKS_IN_FLIGHT:
+                chunk, future = pending.popleft()
+                yield from zip(chunk, future.result())
+        for chunk, future in pending:
+            yield from zip(chunk, future.result())
+
+
 def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> dict[str, Graph]:
     """canonical form of KB(H) -> first H realising it, over all connected H.
 
-    Covers every class with 2 <= |KB(H)| <= max_g_order.  Hosts stream in
-    fixed-size chunks; with workers > 1 a process pool maps the chunks, at
-    most _CHUNKS_IN_FLIGHT at a time.  Results merge in chunk order, so the
-    first host in generation order wins whatever the scheduling.
+    Covers every class with 2 <= |KB(H)| <= max_g_order.  The sweep is read
+    in generation order, so the first host wins whatever the scheduling.
     """
     _check_bounds(max_g_order, max_h_order)
     out: dict[str, Graph] = {}
-
-    def merge(chunk: list[tuple[int, ...]], keys: list[str | None]) -> None:
-        for adj, key in zip(chunk, keys):
-            if key is not None:
-                out.setdefault(key, Graph._raw(len(adj), adj))
-
-    chunks = _host_chunks(max_h_order)
-    if workers == 1:
-        for chunk in chunks:
-            merge(chunk, _positives_chunk((max_g_order, chunk)))
-        return out
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-        pending: deque = deque()
-        for chunk in chunks:
-            pending.append((chunk, pool.submit(_positives_chunk, (max_g_order, chunk))))
-            if len(pending) >= _CHUNKS_IN_FLIGHT:
-                chunk, future = pending.popleft()
-                merge(chunk, future.result())
-        for chunk, future in pending:
-            merge(chunk, future.result())
+    for adj, key in _swept(range(2, max_g_order + 1), max_h_order, workers):
+        if key is not None:
+            out.setdefault(key, Graph._raw(len(adj), adj))
     return out
 
 

@@ -492,6 +492,13 @@ class TestFlags:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "cat").exists()
 
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_i_max_below_two_rejected(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["conjectures", "--catalogue", str(tmp_path), "--i-max", value])
+        assert exc.value.code == 2
+        assert "--i-max" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 
 from biclique_lab.bicliques import biclique_graph
@@ -67,6 +68,13 @@ class TestGeneralizedTwins:
         # the three pages share {0,1}, which extends to a triangle with any page
         sizes = {w["i"] for w in iter_generalized_twins(CROWN.graph, i_max=3)}
         assert sizes == {2, 3}
+
+    @pytest.mark.parametrize("i_max", [1, 0, -3])
+    def test_i_max_below_two_rejected(self, i_max):
+        from biclique_lab.conjectures import iter_generalized_twins
+
+        with pytest.raises(ValueError, match="i_max"):
+            next(iter_generalized_twins(CROWN.graph, i_max=i_max))
 
     def test_i2_with_k2_equality_matches_twin_check(self):
         from biclique_lab.conjectures import iter_generalized_twins

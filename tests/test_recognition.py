@@ -1,11 +1,14 @@
 import pytest
 
-from biclique_lab.bicliques import biclique_graph
+from biclique_lab import recognition
+from biclique_lab.bicliques import biclique_graph, biclique_graph_with_limit
 from biclique_lab.graphs import (
     CapabilityError,
+    Graph,
     GraphError,
     canonical_form,
     complete_graph,
+    cycle_graph,
     path_graph,
     write_graph6,
 )
@@ -23,6 +26,18 @@ from biclique_lab.recognition import (
     verify_entry,
     write_catalogue,
 )
+
+
+def _count_capped_kb(monkeypatch) -> list:
+    """Record every host the preimage sweep computes a capped KB of."""
+    calls = []
+
+    def counting(host, cap):
+        calls.append(host)
+        return biclique_graph_with_limit(host, cap)
+
+    monkeypatch.setattr(recognition, "biclique_graph_with_limit", counting)
+    return calls
 
 
 class TestSearchPreimage:
@@ -60,6 +75,22 @@ class TestSearchPreimage:
     def test_bound_checked(self):
         with pytest.raises(CapabilityError):
             search_preimage(complete_graph(3), 99)
+
+    def test_search_stops_at_first_preimage(self, monkeypatch):
+        calls = _count_capped_kb(monkeypatch)
+        host = search_preimage(complete_graph(3), 8)
+        assert calls[-1] == host  # the walk ends at the preimage it returns
+        assert len(calls) < 10  # of 12,112 hosts on 2..8 vertices
+
+    def test_oversized_query_fails_before_enumerating(self, monkeypatch):
+        calls = _count_capped_kb(monkeypatch)
+        with pytest.raises(CapabilityError):
+            search_preimage(cycle_graph(13), 7)
+        assert calls == []
+
+    def test_k1_from_k2(self):
+        assert search_preimage(Graph(1), 4) == complete_graph(2)  # K1 = KB(K2)
+        assert "@" not in positive_preimages(2, 4)  # the catalogue starts at order 2
 
     def test_disconnected_rejected(self):
         from biclique_lab.graphs import Graph
