@@ -10,6 +10,8 @@ One sweep serves the catalogue and ``search_preimage``: it enumerates every
 connected host H up to ``max_h_order`` once, in generation order, computes
 KB(H), and keeps the first host hitting each class of order <= ``max_g_order``.
 Catalogue classes never hit are classified by the obstruction battery.
+``search_preimage`` reads its sweep only as far as the queried class and
+suspends it there, so a process walks each (order, bound) sweep at most once.
 Positive and negative evidence is re-derivable: ``verify_entry`` recomputes it.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +61,13 @@ UNKNOWN = "unknown-within-bound"
 
 #: The files of a catalogue directory, one per order.
 _CATALOGUE_FILES = "catalogue-n*.jsonl"
+
+#: (query order, max_h_order) -> (canonical KB -> first host adjacency read so
+#: far, the suspended sweep): where ``search_preimage`` resumes on a miss.
+_SWEEPS: dict[tuple[int, int], tuple[dict[str, tuple[int, ...]], Iterator[tuple]]] = {}
+#: Held while a query reads or advances a suspended sweep: a generator
+#: advanced from two threads at once raises instead of yielding.
+_SWEEPS_LOCK = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -136,15 +146,32 @@ def _hosts(max_h_order: int) -> Iterator[Graph]:
 def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     """First connected H (in generation order) with KB(H) isomorphic to g.
 
-    The sweep behind ``positive_preimages``, keying g's order only, up to the
-    first host hitting g's class: exhaustive over isomorphism classes up to
-    ``max_h_order``, so None means no preimage exists within the bound.
+    The sweep behind ``positive_preimages``, keying g's order only, read up
+    to the first host hitting g's class: exhaustive over isomorphism classes
+    up to ``max_h_order``, so None means no preimage exists within the bound.
+    The sweep is suspended there and every class it passed is remembered, so
+    a later query of the same order and bound resumes it instead of starting
+    again; the first host of each class is the same either way.
     """
     _check_bounds(max(g.n, 2), max_h_order)
     _require_connected(g)
     target = canonical_form(g)  # before the sweep, so too large a g fails at once
-    hits = (adj for adj, key in _swept(range(g.n, g.n + 1), max_h_order, 1) if key == target)
-    return next((Graph._raw(len(adj), adj) for adj in hits), None)
+    sweep_id = (g.n, max_h_order)
+    with _SWEEPS_LOCK:
+        first, sweep = _SWEEPS.setdefault(sweep_id, ({}, _swept(range(g.n, g.n + 1), max_h_order, 1)))
+        try:
+            while target not in first:
+                step = next(sweep, None)
+                if step is None:
+                    return None
+                adj, key = step
+                if key is not None:
+                    first.setdefault(key, adj)
+        except BaseException:
+            _SWEEPS.pop(sweep_id, None)  # the sweep is closed now; the next miss starts again
+            raise
+        adj = first[target]
+    return Graph._raw(len(adj), adj)
 
 
 def _kb_key(host: Graph, orders: range) -> str | None:

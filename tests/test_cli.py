@@ -207,6 +207,17 @@ class TestRecognizeCommand:
         )
         assert out.strip().split("\t")[1] == "none"
 
+    def test_stream_of_queries(self, capsys, monkeypatch):
+        # P3, K3, P3 relabelled, K3: repeated orders read one resumed sweep
+        code, out, err = run(
+            capsys,
+            ["recognize", "--max-h-order", "6"],
+            stdin="BW\nBw\nBg\nBw\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == EXIT_OK
+        assert out == "BW\tnone\t6\nBw\tBw\t6\nBg\tnone\t6\nBw\tBw\t6\n"
+
     def test_capability_exit(self, capsys, monkeypatch):
         code, out, err = run(
             capsys,

@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+
 import pytest
 
 from biclique_lab import recognition
@@ -9,7 +13,9 @@ from biclique_lab.graphs import (
     canonical_form,
     complete_graph,
     cycle_graph,
+    enumerate_connected_graphs,
     path_graph,
+    permuted,
     write_graph6,
 )
 from biclique_lab.patterns import CROWN, DIAMOND
@@ -38,6 +44,15 @@ def _count_capped_kb(monkeypatch) -> list:
 
     monkeypatch.setattr(recognition, "biclique_graph_with_limit", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def no_suspended_sweeps():
+    """Each test starts and leaves without a suspended preimage sweep, so
+    what a search computes does not depend on which tests ran before."""
+    recognition._SWEEPS.clear()
+    yield
+    recognition._SWEEPS.clear()
 
 
 class TestSearchPreimage:
@@ -97,6 +112,96 @@ class TestSearchPreimage:
 
         with pytest.raises(GraphError):
             search_preimage(Graph(4, [(0, 1), (2, 3)]), 4)
+
+
+class TestResumedSweep:
+    def test_next_query_resumes_where_the_last_stopped(self, monkeypatch):
+        calls = _count_capped_kb(monkeypatch)
+        assert search_preimage(complete_graph(3), 6) == complete_graph(3)
+        assert search_preimage(path_graph(3), 6) is None
+        hosts = list(recognition._hosts(6))
+        assert calls == hosts  # two queries, one walk: every host once, in order
+
+    def test_query_after_a_miss_computes_no_kb(self, monkeypatch):
+        calls = _count_capped_kb(monkeypatch)
+        assert search_preimage(path_graph(3), 6) is None
+        walked = len(calls)
+        assert search_preimage(complete_graph(3), 6) == complete_graph(3)  # hit
+        assert search_preimage(permuted(path_graph(3), [1, 0, 2]), 6) is None  # miss
+        assert len(calls) == walked
+
+    def test_other_order_or_bound_sweeps_on_its_own(self, monkeypatch):
+        calls = _count_capped_kb(monkeypatch)
+        assert search_preimage(path_graph(3), 6) is None
+        for g, bound in ((complete_graph(4), 6), (path_graph(3), 5)):
+            walked = len(calls)
+            search_preimage(g, bound)
+            assert calls[walked] == complete_graph(2)  # from the first host again
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError, RuntimeError])
+    def test_interrupted_sweep_is_dropped(self, monkeypatch, error):
+        calls = []
+
+        def failing(host, cap):
+            calls.append(host)
+            if len(calls) == 5:
+                raise error("interrupted")
+            return biclique_graph_with_limit(host, cap)
+
+        monkeypatch.setattr(recognition, "biclique_graph_with_limit", failing)
+        with pytest.raises(error):
+            search_preimage(DIAMOND.graph, 6)
+        monkeypatch.undo()
+        expected = positive_preimages(4, 6)[canonical_form(DIAMOND.graph)]
+        assert _g6(search_preimage(DIAMOND.graph, 6)) == write_graph6(expected)
+
+    def test_answers_do_not_depend_on_query_order(self):
+        queries = _relabelled_classes(random.Random(2017))
+        assert len(queries) == 142  # connected classes on 2..6 vertices
+        reference = positive_preimages(6, 7)
+        for g in queries:
+            assert _g6(search_preimage(g, 7)) == _g6(reference.get(canonical_form(g))), g
+
+    def test_threads_share_the_sweeps(self):
+        reference = positive_preimages(6, 6)
+        errors = []
+
+        def query(seed):
+            try:
+                for g in _relabelled_classes(random.Random(seed)):
+                    assert _g6(search_preimage(g, 6)) == _g6(reference.get(canonical_form(g))), g
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=query, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+
+def _relabelled_classes(rng: random.Random) -> list[Graph]:
+    """A random relabelling of each connected class on 2..6 vertices, in a
+    random order."""
+    queries = []
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            queries.append(permuted(g, perm))
+    rng.shuffle(queries)
+    return queries
+
+
+def _g6(host: Graph | None) -> str | None:
+    return None if host is None else write_graph6(host)
 
 
 @pytest.fixture(scope="module")
