@@ -5,22 +5,25 @@ both sides are independent sets, every cross pair is an edge, and no outside
 vertex can join either side.  The biclique graph KB(G) is the intersection
 graph of the family of all bicliques of G.
 
-Enumeration walks all vertex subsets as bitmasks.  For a connected complete
-bipartite set S, the side of its lowest vertex u is exactly S minus N(u), so
-each subset is tested with a handful of mask operations, and maximality is a
-per-vertex extension test (v can join side A iff N(v) cut to S equals B).
-This is exact for the small hosts used throughout; the subset walk caps out
-around n = 20.
+A set A + B is a biclique exactly when A x {0} + B x {1} is a maximal
+clique, with both parts nonempty, of the doubled graph on V x {0, 1}, where
+(u, s) ~ (v, t) iff either s = t, u != v and uv is a non-edge, or s != t and
+uv is an edge (Dias, de Figueiredo & Szwarcfiter 2005).  Enumeration lists
+those cliques by Bron-Kerbosch with pivoting (Tomita, Tanaka & Takahashi
+2006), so its work follows the clique search tree instead of all 2^n vertex
+subsets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from itertools import combinations
+from collections.abc import Iterable, Iterator
+from itertools import combinations, islice
 
 from .graphs import Graph, GraphError, CapabilityError, _bits, _require_connected
 
-#: Subset enumeration is exact but exponential; refuse beyond this order.
+#: Largest host order accepted for enumeration.  The family itself can be
+#: exponential (the crown graph on 2k vertices has 2^k - 2 bicliques), so
+#: lifting this wall needs a bound on family size instead.
 MAX_HOST_ORDER = 20
 
 
@@ -106,30 +109,6 @@ class BicliqueFamily:
             raise GraphError(f"biclique index {index} out of range")
 
 
-def complete_bipartite_sides(g: Graph, mask: int) -> tuple[int, int] | None:
-    """Sides of the induced subgraph on ``mask`` if it is connected complete
-    bipartite (as masks, side containing the lowest vertex first); else None.
-
-    Single vertices count (one empty side); callers that require both sides
-    nonempty should insist on two or more vertices.
-    """
-    if mask == 0:
-        return None
-    low = (mask & -mask).bit_length() - 1
-    side_b = g.adj[low] & mask
-    side_a = mask ^ side_b
-    if mask.bit_count() > 1 and side_b == 0:
-        return None  # low vertex isolated inside the subset
-    adj = g.adj
-    for v in _bits(side_a):
-        if adj[v] & mask != side_b:
-            return None
-    for v in _bits(side_b):
-        if adj[v] & mask != side_a:
-            return None
-    return side_a, side_b
-
-
 def is_induced_complete_bipartite(
     g: Graph, vertices: Iterable[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -142,39 +121,41 @@ def is_induced_complete_bipartite(
         mask |= 1 << v
     if mask == 0:
         raise GraphError("vertex set must be nonempty")
-    sides = complete_bipartite_sides(g, mask)
-    if sides is None:
-        return None
-    return tuple(_bits(sides[0])), tuple(_bits(sides[1]))
+    low = (mask & -mask).bit_length() - 1
+    side_b = g.adj[low] & mask
+    side_a = mask ^ side_b
+    if mask != 1 << low and not side_b:
+        return None  # the lowest vertex is isolated inside the set
+    for v in _bits(mask):  # each vertex sees exactly the other side
+        if g.adj[v] & mask != (side_a if side_b >> v & 1 else side_b):
+            return None
+    return tuple(_bits(side_a)), tuple(_bits(side_b))
 
 
-def _maximal_bicliques(
-    g: Graph, stop_above: int | None = None
-) -> list[tuple[int, int, int]] | None:
+def _bicliques(g: Graph) -> Iterator[tuple[int, int, int]]:
     """(mask, side_a, side_b) of every biclique, side_a holding the lowest
-    vertex; None when the count exceeds ``stop_above``."""
+    vertex: the maximal cliques of the doubled graph, by Bron-Kerbosch with
+    pivoting.  Doubled vertex v + s*n stands for (v, s)."""
     n = g.n
-    adj = g.adj
-    found: list[tuple[int, int, int]] = []
-    for mask in range(3, 1 << n):
-        if mask.bit_count() < 2:
-            continue
-        sides = complete_bipartite_sides(g, mask)
-        if sides is None:
-            continue
-        side_a, side_b = sides
-        outside = ((1 << n) - 1) ^ mask
-        maximal = True
-        for v in _bits(outside):
-            hit = adj[v] & mask
-            if hit == side_b or hit == side_a:
-                maximal = False
-                break
-        if maximal:
-            found.append((mask, side_a, side_b))
-            if stop_above is not None and len(found) > stop_above:
-                return None
-    return found
+    full = (1 << n) - 1
+    same = [full & ~nbrs & ~(1 << v) for v, nbrs in enumerate(g.adj)]
+    double = [s | nbrs << n for s, nbrs in zip(same, g.adj)]
+    double += [nbrs | s << n for s, nbrs in zip(same, g.adj)]
+
+    def expand(clique: int, candidates: int, excluded: int):
+        if not candidates:
+            part0, part1 = clique & full, clique >> n
+            # Each biclique is met twice, once per side order; keep one.
+            if not excluded and part0 and part1 and part0 & -part0 < part1 & -part1:
+                yield part0 | part1, part0, part1
+            return
+        pivot = max(_bits(candidates | excluded), key=lambda u: (double[u] & candidates).bit_count())
+        for u in _bits(candidates & ~double[pivot]):
+            yield from expand(clique | 1 << u, candidates & double[u], excluded & double[u])
+            candidates ^= 1 << u
+            excluded |= 1 << u
+
+    yield from expand(0, (1 << 2 * n) - 1, 0)
 
 
 def enumerate_bicliques(g: Graph) -> BicliqueFamily:
@@ -184,7 +165,7 @@ def enumerate_bicliques(g: Graph) -> BicliqueFamily:
     if g.n > MAX_HOST_ORDER:
         raise CapabilityError(f"biclique enumeration supports n <= {MAX_HOST_ORDER}")
     _require_connected(g)
-    return BicliqueFamily(g, (Biclique(*sides) for sides in _maximal_bicliques(g)))
+    return BicliqueFamily(g, (Biclique(*sides) for sides in _bicliques(g)))
 
 
 def _intersection_graph(masks: list[int]) -> Graph:
@@ -212,8 +193,8 @@ def biclique_graph_with_limit(g: Graph, max_order: int) -> tuple[Graph, None] | 
     """
     if g.n < 2:
         raise GraphError("biclique enumeration needs at least 2 vertices")
-    found = _maximal_bicliques(g, stop_above=max_order)
-    if found is None:
+    found = list(islice(_bicliques(g), max_order + 1))
+    if len(found) > max_order:
         return None, None
     masks = sorted((mask for mask, _, _ in found), key=lambda m: tuple(_bits(m)))
     return _intersection_graph(masks), None

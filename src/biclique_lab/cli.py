@@ -30,6 +30,7 @@ All output is deterministic for a fixed command line and input.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -138,6 +139,7 @@ def _each_graph(paths: list[str], emit) -> _Status:
 def _cmd_bicliques(args: argparse.Namespace) -> int:
     def emit(graph: Graph) -> None:
         kb, family = biclique_graph(graph)
+        kb_g6 = write_graph6(kb)  # before any output: a KB beyond graph6 fails the whole line
         if args.output_format == "json":
             payload = {
                 "schema": "bicliques/1",
@@ -146,7 +148,7 @@ def _cmd_bicliques(args: argparse.Namespace) -> int:
                     {"vertices": list(b.vertices), "sides": [list(s) for s in b.sides]}
                     for b in family
                 ],
-                "kb_graph6": write_graph6(kb),
+                "kb_graph6": kb_g6,
             }
             print(json.dumps(payload, separators=(",", ":")))
         else:
@@ -155,7 +157,7 @@ def _cmd_bicliques(args: argparse.Namespace) -> int:
                 a, c = b.sides
                 vertices = ",".join(map(str, b.vertices))
                 print(f"{index}\t{{{vertices}}}\t{list(a)}|{list(c)}")
-            print(f"kb\t{write_graph6(kb)}")
+            print(f"kb\t{kb_g6}")
 
     return _each_graph(args.inputs, emit).code()
 
@@ -163,10 +165,11 @@ def _cmd_bicliques(args: argparse.Namespace) -> int:
 def _cmd_kb(args: argparse.Namespace) -> int:
     def emit(graph: Graph) -> None:
         kb, family = biclique_graph(graph)
+        kb_g6 = write_graph6(kb)  # before the legend, as in ``bicliques``
         if args.legend:
             for index, b in enumerate(family):
                 print(f"# {index}: {{{','.join(map(str, b.vertices))}}}")
-        print(write_graph6(kb))
+        print(kb_g6)
 
     return _each_graph(args.inputs, emit).code()
 
@@ -288,6 +291,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biclique-lab",

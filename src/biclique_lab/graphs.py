@@ -1,10 +1,10 @@
 """Small simple undirected graphs on bitset adjacency.
 
 Vertices are always 0..n-1.  Adjacency is a tuple of int bitmasks, one per
-vertex, which makes neighbourhood intersection, induced-subgraph tests and
-subset iteration word-parallel.  Everything here is exact and aimed at the
-small orders (n <= ~20, and <= 12 for isomorphism-sensitive paths) that the
-rest of the library works with.
+vertex, which makes neighbourhood intersection and induced-subgraph tests
+word-parallel.  Everything here is exact and aimed at the small orders (hosts
+to 20 for biclique enumeration, <= 12 for isomorphism-sensitive paths) that
+the rest of the library works with.
 
 Provided here:
 

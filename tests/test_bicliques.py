@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -20,8 +23,13 @@ from biclique_lab.graphs import (
 from biclique_lab.obstructions import induced_p3s
 from biclique_lab.patterns import DIAMOND
 
-from oracles import bicliques_oracle
+from oracles import bicliques_oracle, is_complete_bipartite_literal
 from strategies import connected_graphs
+
+
+def crown_graph(k: int) -> Graph:
+    """K_{k,k} minus a perfect matching: 2^k - 2 bicliques on 2k vertices."""
+    return Graph(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
 
 
 class TestBipartitionTest:
@@ -37,6 +45,14 @@ class TestBipartitionTest:
     def test_first_side_holds_smallest_vertex(self):
         sides = is_induced_complete_bipartite(path_graph(4), [1, 2])
         assert sides == ((1,), (2,))
+
+    def test_matches_literal_test_on_every_subset(self):
+        for n in range(2, 6):
+            for g in enumerate_connected_graphs(n):
+                for k in range(2, n + 1):
+                    for subset in combinations(range(n), k):
+                        sides = is_induced_complete_bipartite(g, subset)
+                        assert (sides is not None) == is_complete_bipartite_literal(g, subset)
 
     def test_empty_set_rejected(self):
         with pytest.raises(GraphError):
@@ -105,6 +121,17 @@ class TestEnumeration:
                 hit = g.adj[v] & b.mask
                 assert hit != b.side_a and hit != b.side_b
 
+    def test_matches_subset_oracle_beyond_order_7(self):
+        rng = random.Random(12)
+        hosts = [crown_graph(4), crown_graph(5)]
+        for n in (8, 9, 10):
+            while len(hosts) < 2 + 8 * (n - 7):
+                g = Graph(n, [(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.4])
+                if is_connected(g):
+                    hosts.append(g)
+        for g in hosts:
+            assert [b.vertices for b in enumerate_bicliques(g)] == bicliques_oracle(g)
+
     def test_no_duplicate_vertex_sets(self):
         for g in enumerate_connected_graphs(5):
             fam = enumerate_bicliques(g)
@@ -140,6 +167,17 @@ class TestBicliqueGraph:
         assert kb is None  # K5 has 10 bicliques
         kb, _ = biclique_graph_with_limit(path_graph(6), 6)
         assert kb is not None and kb.n == 4
+
+    def test_limit_cuts_exactly_the_families_over_the_cap(self):
+        for n in range(2, 8):
+            for g in enumerate_connected_graphs(n):
+                kb, family = biclique_graph(g)
+                for cap in range(1, 9):
+                    capped, _ = biclique_graph_with_limit(g, cap)
+                    if len(family) > cap:
+                        assert capped is None
+                    else:
+                        assert capped == kb
 
     @settings(max_examples=40)
     @given(connected_graphs(max_order=7))

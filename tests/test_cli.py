@@ -218,6 +218,22 @@ class TestRecognizeCommand:
         assert code == EXIT_OK
         assert out == "BW\tnone\t6\nBw\tBw\t6\nBg\tnone\t6\nBw\tBw\t6\n"
 
+    def test_repeated_calls_share_no_state(self, capsys, monkeypatch):
+        # main reuses one parser; a flag or a usage error must not carry over
+        from biclique_lab.cli import build_parser
+
+        assert build_parser() is build_parser()
+        bounded = run(capsys, ["recognize", "--max-h-order", "6"], stdin="Bw\n", monkeypatch=monkeypatch)
+        assert bounded == (EXIT_OK, "Bw\tBw\t6\n", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["recognize", "--max-h-order", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        default = run(capsys, ["recognize"], stdin="Bw\n", monkeypatch=monkeypatch)
+        assert default == (EXIT_OK, "Bw\tBw\t8\n", "")
+        again = run(capsys, ["recognize", "--max-h-order", "6"], stdin="Bw\n", monkeypatch=monkeypatch)
+        assert again == bounded
+
     def test_capability_exit(self, capsys, monkeypatch):
         code, out, err = run(
             capsys,
@@ -530,18 +546,32 @@ class TestFlags:
 
 
 class TestCapabilityExitCodes:
-    @pytest.mark.parametrize("command", ["bicliques", "kb", "distance"])
-    def test_oversized_graph_exits_2_and_the_stream_goes_on(self, command, capsys, monkeypatch):
+    # C21 is over the host order bound; the 14-vertex crown graph has 126
+    # bicliques, so its KB is over the graph6 bound and fails only on output.
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            pytest.param(["bicliques"], "C21", id="bicliques"),
+            pytest.param(["kb"], "C21", id="kb"),
+            pytest.param(["distance"], "C21", id="distance"),
+            pytest.param(["bicliques"], "crown14", id="bicliques-crown14"),
+            pytest.param(["bicliques", "--format", "json"], "crown14", id="bicliques-json-crown14"),
+            pytest.param(["kb"], "crown14", id="kb-crown14"),
+            pytest.param(["kb", "--legend"], "crown14", id="kb-legend-crown14"),
+        ],
+    )
+    def test_oversized_graph_exits_2_and_the_stream_goes_on(self, argv, bad, capsys, monkeypatch):
         from biclique_lab.graphs import cycle_graph, path_graph
 
+        bad_g6 = {"C21": write_graph6(cycle_graph(21)), "crown14": "M???B}}vf[]o}_~??"}[bad]
         good = ["Bw", write_graph6(path_graph(4))]
         code, out, err = run(
             capsys,
-            [command],
-            stdin=f"{good[0]}\n{write_graph6(cycle_graph(21))}\n{good[1]}\n",
+            argv,
+            stdin=f"{good[0]}\n{bad_g6}\n{good[1]}\n",
             monkeypatch=monkeypatch,
         )
         assert code == EXIT_CAPABILITY
         assert err.startswith("<stdin>:2: ") and err.count("\n") == 1
-        _, expected, _ = run(capsys, [command], stdin="\n".join(good) + "\n", monkeypatch=monkeypatch)
+        _, expected, _ = run(capsys, argv, stdin="\n".join(good) + "\n", monkeypatch=monkeypatch)
         assert out == expected and len(expected.splitlines()) >= 2
