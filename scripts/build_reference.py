@@ -3,7 +3,7 @@
 
 Runs the library's exhaustive preimage sweep over every connected host on
 up to 9 vertices, ``positive_preimages(6, 9)``, on ``default_worker_count()``
-processes (``BICLIQUE_LAB_WORKERS``, else the CPU count; 20-23 minutes on
+processes (``BICLIQUE_LAB_WORKERS``, else the CPU count; 4.5-6 minutes on
 one core), and writes two files into the fixtures directory:
 
 * ``biclique_graphs_up_to_6.g6``: one canonical graph6 per line, after a

@@ -135,7 +135,13 @@ def is_induced_complete_bipartite(
 def _bicliques(g: Graph) -> Iterator[tuple[int, int, int]]:
     """(mask, side_a, side_b) of every biclique, side_a holding the lowest
     vertex: the maximal cliques of the doubled graph, by Bron-Kerbosch with
-    pivoting.  Doubled vertex v + s*n stands for (v, s)."""
+    pivoting.  Doubled vertex v + s*n stands for (v, s).  The first read
+    raises unless g is a connected host on 2..MAX_HOST_ORDER vertices."""
+    if g.n < 2:
+        raise GraphError("biclique enumeration needs at least 2 vertices")
+    if g.n > MAX_HOST_ORDER:
+        raise CapabilityError(f"biclique enumeration supports n <= {MAX_HOST_ORDER}")
+    _require_connected(g)
     n = g.n
     full = (1 << n) - 1
     same = [full & ~nbrs & ~(1 << v) for v, nbrs in enumerate(g.adj)]
@@ -160,11 +166,6 @@ def _bicliques(g: Graph) -> Iterator[tuple[int, int, int]]:
 
 def enumerate_bicliques(g: Graph) -> BicliqueFamily:
     """All bicliques of a connected host with at least 2 vertices."""
-    if g.n < 2:
-        raise GraphError("biclique enumeration needs at least 2 vertices")
-    if g.n > MAX_HOST_ORDER:
-        raise CapabilityError(f"biclique enumeration supports n <= {MAX_HOST_ORDER}")
-    _require_connected(g)
     return BicliqueFamily(g, (Biclique(*sides) for sides in _bicliques(g)))
 
 
@@ -191,8 +192,6 @@ def biclique_graph_with_limit(g: Graph, max_order: int) -> tuple[Graph, None] | 
     Preimage searches use this to discard hosts whose biclique count
     overshoots the target order without finishing the enumeration.
     """
-    if g.n < 2:
-        raise GraphError("biclique enumeration needs at least 2 vertices")
     found = list(islice(_bicliques(g), max_order + 1))
     if len(found) > max_order:
         return None, None

@@ -197,56 +197,56 @@ def parse_graph6(text: str) -> Graph:
     for i, char in enumerate(line, start):
         if not "?" <= char <= "~":
             raise Graph6Error(f"character {char!r} outside graph6 range 63..126", offset=i)
-    data = line.encode("ascii")
-    if data[0] == 126:
+    n = ord(line[0]) - 63
+    if n == 63:
         raise CapabilityError("multi-byte graph6 order headers (n > 62) are not supported")
-    n = data[0] - 63
     if n < 1:
         raise Graph6Error("graph6 order 0 is not supported", offset=start)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - 1 != nbytes:
+    if len(line) - 1 != nbytes:
         raise Graph6Error(
-            f"graph6 body for n={n} needs {nbytes} bytes, got {len(data) - 1}",
-            offset=start + len(data),
+            f"graph6 body for n={n} needs {nbytes} bytes, got {len(line) - 1}",
+            offset=start + len(line),
         )
+    value = 0  # the body, 6 bits a character; the checks above bound its length
+    for char in line[1:]:
+        value = value << 6 | ord(char) - 63
+    padding = 6 * nbytes - nbits
+    if value & ((1 << padding) - 1):
+        raise Graph6Error("nonzero padding bits", offset=start + nbytes)
+    value >>= padding
     adj = [0] * n
-    bit_index = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for byte_index, byte in enumerate(data[1:], start=start + 1):
-        value = byte - 63
-        for k in range(5, -1, -1):
-            bit = (value >> k) & 1
-            if bit_index < nbits:
-                if bit:
-                    i, j = pairs[bit_index]
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            elif bit:
-                raise Graph6Error("nonzero padding bits", offset=byte_index)
-            bit_index += 1
+    for k in range(n - 1, 0, -1):  # the columns, last one lowest
+        for bit in _bits(value & ((1 << k) - 1)):
+            i = k - 1 - bit  # the most significant bit is adj(0,k)
+            adj[i] |= 1 << k
+            adj[k] |= 1 << i
+        value >>= k
     return Graph._raw(n, tuple(adj))
+
+
+def _pack_graph6(n: int, columns: Sequence[int]) -> str:
+    """The graph6 line of order n whose body is columns 1..n-1: column k holds
+    the k bits adj(0,k)..adj(k-1,k), adj(0,k) most significant, and the body
+    is their concatenation, zero-padded and packed 6 bits to a character."""
+    value = 0
+    for k in range(1, n):
+        value = value << k | columns[k]
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    value <<= 6 * nbytes - nbits
+    return chr(63 + n) + "".join([chr(63 + (value >> 6 * i & 63)) for i in reversed(range(nbytes))])
 
 
 def write_graph6(g: Graph) -> str:
     """Encode as a graph6 line; requires order <= 62."""
     if g.n > MAX_GRAPH6_ORDER:
         raise CapabilityError(f"graph6 writer supports n <= {MAX_GRAPH6_ORDER}, got {g.n}")
-    out = [chr(63 + g.n)]
-    value = 0
-    width = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            value = (value << 1) | ((g.adj[i] >> j) & 1)
-            width += 1
-            if width == 6:
-                out.append(chr(63 + value))
-                value = 0
-                width = 0
-    if width:
-        value <<= 6 - width
-        out.append(chr(63 + value))
-    return "".join(out)
+    # Column k is the low k bits of adj[k] reversed: bin() of them under a
+    # leading 1, read backwards up to that 1.
+    columns = [int(bin(g.adj[k] & ((1 << k) - 1) | 1 << k)[:2:-1], 2) for k in range(1, g.n)]
+    return _pack_graph6(g.n, [0, *columns])
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +383,7 @@ def canonical_form(g: Graph) -> str:
         raise CapabilityError(
             f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}"
         )
-    columns = _canonical_columns(g.n, g.adj)
-    bits = "".join(f"{columns[k]:0{k}b}" for k in range(1, g.n))
-    bits += "0" * (-len(bits) % 6)
-    body = (chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
-    return chr(63 + g.n) + "".join(body)
+    return _pack_graph6(g.n, _canonical_columns(g.n, g.adj))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .bicliques import biclique_graph, biclique_graph_with_limit
 from .graphs import (
+    MAX_CANONICAL_ORDER,
     MAX_GENERATION_ORDER,
     CapabilityError,
     Graph,
@@ -115,18 +116,17 @@ class CatalogueEntry:
         )
 
 
-def _check_bounds(max_g_order: int, max_h_order: int) -> None:
+def _check_host_bound(max_h_order: int) -> None:
     if not 2 <= max_h_order <= MAX_PREIMAGE_ORDER:
-        raise CapabilityError(
-            f"preimage search supports 2 <= max_h_order <= {MAX_PREIMAGE_ORDER}"
-        )
-    if max_g_order < 2:
-        raise CapabilityError("catalogue needs max_g_order >= 2")
+        raise CapabilityError(f"preimage search supports 2 <= max_h_order <= {MAX_PREIMAGE_ORDER}")
 
 
 def check_catalogue_bounds(max_g_order: int, max_h_order: int) -> None:
-    """CapabilityError unless ``build_catalogue`` supports these bounds."""
-    _check_bounds(max_g_order, max_h_order)
+    """CapabilityError unless ``build_catalogue`` supports these bounds,
+    before any class is generated or host enumerated."""
+    _check_host_bound(max_h_order)
+    if not 2 <= max_g_order <= MAX_GENERATION_ORDER:
+        raise CapabilityError(f"max_g_order must be in 2..{MAX_GENERATION_ORDER}, got {max_g_order}")
     if max_h_order < max_g_order:
         raise CapabilityError("max_h_order must be at least max_g_order")
 
@@ -153,7 +153,7 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     a later query of the same order and bound resumes it instead of starting
     again; the first host of each class is the same either way.
     """
-    _check_bounds(max(g.n, 2), max_h_order)
+    _check_host_bound(max_h_order)
     _require_connected(g)
     target = canonical_form(g)  # before the sweep, so too large a g fails at once
     sweep_id = (g.n, max_h_order)
@@ -219,8 +219,12 @@ def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> 
 
     Covers every class with 2 <= |KB(H)| <= max_g_order.  The sweep is read
     in generation order, so the first host wins whatever the scheduling.
+    It generates no class, so max_g_order may pass max_h_order and
+    MAX_GENERATION_ORDER: each KB hit is keyed by its canonical form.
     """
-    _check_bounds(max_g_order, max_h_order)
+    _check_host_bound(max_h_order)
+    if not 2 <= max_g_order <= MAX_CANONICAL_ORDER:
+        raise CapabilityError(f"max_g_order must be in 2..{MAX_CANONICAL_ORDER}, got {max_g_order}")
     out: dict[str, Graph] = {}
     for adj, key in _swept(range(2, max_g_order + 1), max_h_order, workers):
         if key is not None:

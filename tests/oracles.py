@@ -53,31 +53,34 @@ def biclique_graph_oracle(g: Graph) -> Graph:
     )
 
 
-def canonical_oracle(g: Graph) -> str:
-    """Least graph6 string over every relabeling, by scanning all n!
-    orderings and packing the bit string by hand."""
-    n = g.n
-    best: tuple[int, ...] | None = None
-    for order in permutations(range(n)):
-        bits = tuple(
-            1 if g.has_edge(order[i], order[j]) else 0
-            for j in range(1, n)
-            for i in range(j)
-        )
-        if best is None or bits < best:
-            best = bits
-    assert best is not None or n == 1
-    chars = [chr(63 + n)]
+def graph6_oracle(g: Graph) -> str:
+    """graph6 bit by bit: the order byte, then adj(i,j) over the pairs
+    (0,1), (0,2), (1,2), (0,3), ... six bits to a character, the last one
+    zero-padded."""
+    chars = [chr(63 + g.n)]
     value, width = 0, 0
-    for bit in best or ():
-        value = (value << 1) | bit
-        width += 1
-        if width == 6:
-            chars.append(chr(63 + value))
-            value, width = 0, 0
+    for j in range(1, g.n):
+        for i in range(j):
+            value = (value << 1) | g.has_edge(i, j)
+            width += 1
+            if width == 6:
+                chars.append(chr(63 + value))
+                value, width = 0, 0
     if width:
         chars.append(chr(63 + (value << (6 - width))))
     return "".join(chars)
+
+
+def canonical_oracle(g: Graph) -> str:
+    """Least graph6 string over every relabeling, by scanning all n!
+    orderings for the least bit string and packing it with ``graph6_oracle``."""
+    n = g.n
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    best = min(
+        (tuple(g.has_edge(order[i], order[j]) for i, j in pairs), order)
+        for order in permutations(range(n))
+    )[1]
+    return graph6_oracle(Graph(n, [(i, j) for i, j in pairs if g.has_edge(best[i], best[j])]))
 
 
 def hamiltonian_oracle(g: Graph) -> bool:

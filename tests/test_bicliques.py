@@ -11,6 +11,7 @@ from biclique_lab.bicliques import (
     is_induced_complete_bipartite,
 )
 from biclique_lab.graphs import (
+    CapabilityError,
     Graph,
     GraphError,
     are_isomorphic,
@@ -167,6 +168,20 @@ class TestBicliqueGraph:
         assert kb is None  # K5 has 10 bicliques
         kb, _ = biclique_graph_with_limit(path_graph(6), 6)
         assert kb is not None and kb.n == 4
+
+    @pytest.mark.parametrize(
+        "host, error, message",
+        [
+            (Graph(5, [(0, 1), (2, 3), (3, 4)]), GraphError, "must be connected"),
+            (path_graph(25), CapabilityError, "n <= 20"),
+            (Graph(1), GraphError, "at least 2 vertices"),
+        ],
+        ids=["disconnected", "order-25", "order-1"],
+    )
+    def test_limit_keeps_the_host_guards(self, host, error, message):
+        for kb_of in (biclique_graph, lambda g: biclique_graph_with_limit(g, 30)):
+            with pytest.raises(error, match=message):
+                kb_of(host)
 
     def test_limit_cuts_exactly_the_families_over_the_cap(self):
         for n in range(2, 8):

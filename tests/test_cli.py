@@ -435,8 +435,14 @@ class TestWholeCommandErrors:
         assert code == EXIT_PARSE
         assert err.count("\n") == 1 and "File exists" in err
 
-    @pytest.mark.parametrize("bounds", [("5", "4"), ("3", "10"), ("1", "4")])
-    def test_bound_error_creates_no_directory(self, bounds, tmp_path, capsys):
+    @pytest.mark.parametrize("bounds", [("5", "4"), ("3", "10"), ("1", "4"), ("9", "9")])
+    def test_bound_error_creates_no_directory(self, bounds, tmp_path, capsys, monkeypatch):
+        from biclique_lab import cli
+
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the catalogue was built before its bounds were checked")
+
+        monkeypatch.setattr(cli, "build_catalogue", no_sweep)
         out = tmp_path / "cat"
         code, _, err = run(
             capsys,

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +14,7 @@ from biclique_lab.graphs import (
     write_graph6,
 )
 
+from oracles import graph6_oracle
 from strategies import graphs
 
 
@@ -89,6 +93,20 @@ def test_long_form_header_is_capability_error():
         parse_graph6("~??~?????")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [("~??~" + "?" * 300_000, CapabilityError), ("A" + "?" * 300_000, Graph6Error)],
+    ids=["long-form-header", "overlong-body"],
+)
+def test_long_line_is_rejected_in_linear_time(text, error):
+    # Shifting every character of a long line into one int before these
+    # checks copies the int once a character: about 10 s for these lines.
+    started = time.perf_counter()
+    with pytest.raises(error):
+        parse_graph6(text)
+    assert time.perf_counter() - started < 2
+
+
 def test_empty_line_rejected():
     with pytest.raises(Graph6Error):
         parse_graph6("   ")
@@ -98,3 +116,33 @@ def test_empty_line_rejected():
 @given(graphs(max_order=8))
 def test_round_trip_random(g):
     assert parse_graph6(write_graph6(g)) == g
+
+
+def _check_codec(g):
+    text = graph6_oracle(g)
+    assert write_graph6(g) == text
+    assert parse_graph6(text) == g
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_codec_matches_oracle_on_every_labelled_graph(n):
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for bits in range(1 << len(pairs)):
+        _check_codec(Graph(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1]))
+
+
+def test_codec_matches_oracle_on_random_graphs():
+    rng = random.Random(6)
+    for n in range(6, 63):
+        for density in (0.1, 0.5, 0.9):
+            _check_codec(Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < density]))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_every_padding_bit_is_checked_at_the_last_byte(n):
+    text = write_graph6(complete_graph(n))
+    last = ord(text[-1]) - 63
+    for bit in range(-(n * (n - 1) // 2) % 6):  # the padding bits, all in the last byte
+        with pytest.raises(Graph6Error, match="nonzero padding bits") as info:
+            parse_graph6(" " + text[:-1] + chr(63 + (last | 1 << bit)))
+        assert info.value.offset == len(text)

@@ -7,6 +7,7 @@ import pytest
 from biclique_lab import recognition
 from biclique_lab.bicliques import biclique_graph, biclique_graph_with_limit
 from biclique_lab.graphs import (
+    MAX_CANONICAL_ORDER,
     CapabilityError,
     Graph,
     GraphError,
@@ -244,6 +245,23 @@ class TestBuildCatalogue:
             build_catalogue(6, 4)
         with pytest.raises(CapabilityError):
             build_catalogue(6, 99)
+
+    @pytest.mark.parametrize(
+        "build, bounds",
+        [(build_catalogue, (9, 9)), (positive_preimages, (13, 7)), (positive_preimages, (1, 4))],
+        ids=["catalogue-past-generation", "sweep-past-canonical-form", "sweep-below-2"],
+    )
+    def test_class_bound_fails_before_any_host(self, build, bounds, monkeypatch):
+        def no_hosts(max_h_order):
+            pytest.fail("a host was enumerated before the bounds were checked")
+
+        monkeypatch.setattr(recognition, "_hosts", no_hosts)
+        with pytest.raises(CapabilityError, match="max_g_order"):
+            build(*bounds)
+
+    def test_sweep_keys_classes_past_the_generation_bound(self):
+        kb_k5, _ = biclique_graph(complete_graph(5))  # one vertex per edge: order 10
+        assert canonical_form(kb_k5) in positive_preimages(MAX_CANONICAL_ORDER, 5)
 
 
 class TestVerifyEntry:
