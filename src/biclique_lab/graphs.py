@@ -13,7 +13,8 @@ Provided here:
 * BFS distances, connectivity and 2-connectivity,
 * an exact canonical form (lexicographically least graph6 string over all
   relabelings, computed by a pruned ordering search),
-* exhaustive generation of connected graphs up to isomorphism.
+* exhaustive generation of connected graphs up to isomorphism, with
+  augmentations filtered by canonical deletion before the canonical search.
 """
 
 from __future__ import annotations
@@ -413,6 +414,30 @@ def _augmentations(parent: Graph) -> Iterator[Graph]:
         yield Graph._raw(n + 1, tuple(adj))
 
 
+def _last_vertex_is_greatest(child: Graph) -> bool:
+    """Does the last vertex have the greatest invariant (degree, then the
+    sorted degrees of its neighbours) among the non-cut vertices?  Ties pass.
+
+    Canonical deletion (McKay 1998): delete a greatest non-cut vertex v of any
+    connected graph; the class of what is left has a representative, and
+    augmenting it by v's neighbourhood gives a copy whose last vertex passes.
+    So augmentations that fail can be dropped without losing a class.
+    """
+    degrees = [mask.bit_count() for mask in child.adj]
+
+    def invariant(v: int) -> tuple[int, list[int]]:
+        return degrees[v], sorted(degrees[u] for u in _bits(child.adj[v]))
+
+    last = child.n - 1
+    top = invariant(last)
+    full = child.vertex_mask()
+    # The degree alone settles most vertices, before any sort.
+    return not any(
+        degrees[v] >= top[0] and invariant(v) > top and _connected_within(child, full ^ 1 << v)
+        for v in range(last)
+    )
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
@@ -420,6 +445,8 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     seen: dict[str, Graph] = {}
     for parent in _connected_classes(n - 1):
         for child in _augmentations(parent):
+            if not _last_vertex_is_greatest(child):
+                continue
             key = canonical_form(child)
             if key not in seen:
                 seen[key] = parse_graph6(key)

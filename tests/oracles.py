@@ -115,6 +115,22 @@ def connected_classes_oracle(n: int, canonical) -> set[str]:
     return classes
 
 
+def augmented_classes_oracle(n: int, canonical) -> dict[str, Graph]:
+    """Connected classes of order n as {key: a member}: every class of order
+    n-1 (from this oracle, down to K1) plus one vertex joined to every
+    nonempty subset, with no filter, deduplicated with the supplied
+    canonical-form function."""
+    if n == 1:
+        return {canonical(Graph(1)): Graph(1)}
+    classes: dict[str, Graph] = {}
+    for parent in augmented_classes_oracle(n - 1, canonical).values():
+        for size in range(1, n):
+            for neighbours in combinations(range(n - 1), size):
+                child = Graph(n, [*parent.edges(), *((v, n - 1) for v in neighbours)])
+                classes.setdefault(canonical(child), child)
+    return classes
+
+
 def non_helly_submask_oracle(sets: list[int]) -> tuple[int, ...] | None:
     """Pairwise-intersecting subfamily with empty meet, by scanning every
     submask of the family."""

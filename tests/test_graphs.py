@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biclique_lab.graphs as graphs_module
 from biclique_lab.graphs import (
     INFINITY,
     CapabilityError,
@@ -18,13 +19,14 @@ from biclique_lab.graphs import (
     induced_subgraph,
     is_biconnected,
     is_connected,
+    parse_graph6,
     path_graph,
     permuted,
     write_graph6,
 )
 from biclique_lab.patterns import GEM, HAJOS
 
-from oracles import canonical_oracle, connected_classes_oracle
+from oracles import augmented_classes_oracle, canonical_oracle, connected_classes_oracle
 from strategies import connected_graphs, graphs
 
 
@@ -200,6 +202,26 @@ class TestGeneration:
             expected = connected_classes_oracle(n, canonical_form)
             got = {canonical_form(g) for g in enumerate_connected_graphs(n)}
             assert got == expected
+
+    def test_matches_unfiltered_augmentation(self):
+        # Canonical deletion drops augmentations before any canonical search;
+        # no class may go missing, and the representatives and their order
+        # are those of searching every augmentation.
+        for n in range(2, 8):
+            classes = augmented_classes_oracle(n, canonical_form)
+            expected = tuple(parse_graph6(key) for key in sorted(classes))
+            assert tuple(enumerate_connected_graphs(n)) == expected, n
+
+    def test_canonical_deletion_saves_searches(self, monkeypatch):
+        # Searching every augmentation of the 112 order-6 classes takes 7,056
+        # canonical searches for the 853 order-7 classes.
+        graphs_module._connected_classes(6)
+        calls = []
+        search = graphs_module.canonical_form
+        monkeypatch.setattr(graphs_module, "canonical_form", lambda g: calls.append(g) or search(g))
+        classes = graphs_module._connected_classes.__wrapped__(7)
+        assert len(classes) == 853
+        assert len(calls) <= 2 * len(classes)
 
     def test_capability_bound(self):
         with pytest.raises(CapabilityError):
