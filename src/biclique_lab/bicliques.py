@@ -11,7 +11,9 @@ clique, with both parts nonempty, of the doubled graph on V x {0, 1}, where
 uv is an edge (Dias, de Figueiredo & Szwarcfiter 2005).  Enumeration lists
 those cliques by Bron-Kerbosch with pivoting (Tomita, Tanaka & Takahashi
 2006), so its work follows the clique search tree instead of all 2^n vertex
-subsets.
+subsets.  Each biclique gives two such cliques, one per side order; the
+search is rooted at the lowest vertex on side 0, so it finds each biclique
+once.
 """
 
 from __future__ import annotations
@@ -133,9 +135,13 @@ def is_induced_complete_bipartite(
 
 
 def _bicliques(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """(mask, side_a, side_b) of every biclique, side_a holding the lowest
-    vertex: the maximal cliques of the doubled graph, by Bron-Kerbosch with
-    pivoting.  Doubled vertex v + s*n stands for (v, s).  The first read
+    """(mask, side_a, side_b) of every biclique, each exactly once, side_a
+    holding the lowest vertex: the maximal cliques of the doubled graph, by
+    Bron-Kerbosch with pivoting.  Doubled vertex v + s*n stands for (v, s).
+    One search is rooted at (v, 0) for each vertex v, with the vertices
+    above v as candidates and those below v as excluded (the outer-vertex
+    loop of Eppstein, Loeffler & Strash 2010), so a biclique is found only
+    in the side order that puts its lowest vertex on side 0.  The first read
     raises unless g is a connected host on 2..MAX_HOST_ORDER vertices."""
     if g.n < 2:
         raise GraphError("biclique enumeration needs at least 2 vertices")
@@ -150,18 +156,24 @@ def _bicliques(g: Graph) -> Iterator[tuple[int, int, int]]:
 
     def expand(clique: int, candidates: int, excluded: int):
         if not candidates:
-            part0, part1 = clique & full, clique >> n
-            # Each biclique is met twice, once per side order; keep one.
-            if not excluded and part0 and part1 and part0 & -part0 < part1 & -part1:
+            if not excluded and clique >> n:
+                part0, part1 = clique & full, clique >> n
                 yield part0 | part1, part0, part1
             return
-        pivot = max(_bits(candidates | excluded), key=lambda u: (double[u] & candidates).bit_count())
+        # Pivot: the first vertex of P | X with the most neighbours in P.
+        best = -1
+        for u in _bits(candidates | excluded):
+            count = (double[u] & candidates).bit_count()
+            if count > best:
+                best, pivot = count, u
         for u in _bits(candidates & ~double[pivot]):
             yield from expand(clique | 1 << u, candidates & double[u], excluded & double[u])
             candidates ^= 1 << u
             excluded |= 1 << u
 
-    yield from expand(0, (1 << 2 * n) - 1, 0)
+    for v in range(n):
+        above, below = full & ~((2 << v) - 1), (1 << v) - 1
+        yield from expand(1 << v, double[v] & (above | above << n), double[v] & (below | below << n))
 
 
 def enumerate_bicliques(g: Graph) -> BicliqueFamily:

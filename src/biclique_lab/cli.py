@@ -177,21 +177,18 @@ def _cmd_kb(args: argparse.Namespace) -> int:
 def _cmd_distance(args: argparse.Namespace) -> int:
     def emit(graph: Graph) -> None:
         g6 = write_graph6(graph)
+        # Rows are written by hand from the report's ints: the same bytes as
+        # json.dumps(row, separators=(",", ":")) at a fraction of the cost.
+        head = f'{{"schema":"biclique-distance/1","graph6":{json.dumps(g6)},"i":'
         for report in distance_reports(graph):
             count = report.witness_count
             if args.output_format == "json":
-                payload = {
-                    "schema": "biclique-distance/1",
-                    "graph6": g6,
-                    "i": report.i,
-                    "j": report.j,
-                    "d_g": report.d_g,
-                    "d_kb": report.d_kb,
-                    "formula_value": report.formula_value,
-                    "closest_pair": list(report.closest_pair),
-                    "witness_count": count,
-                }
-                print(json.dumps(payload, separators=(",", ":")))
+                u, v = report.closest_pair
+                print(
+                    f'{head}{report.i},"j":{report.j},"d_g":{report.d_g},"d_kb":{report.d_kb}'
+                    f',"formula_value":{report.formula_value},"closest_pair":[{u},{v}]'
+                    f',"witness_count":{"null" if count is None else count}}}'
+                )
             else:
                 print(
                     f"{g6}\t{report.i}\t{report.j}\t{report.d_g}\t{report.d_kb}"

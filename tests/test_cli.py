@@ -148,6 +148,24 @@ class TestDistanceCommand:
         flagged = [p for p in payloads if p["d_g"] > 0]
         assert all(p["witness_count"] >= p["d_g"] + 1 for p in flagged)
 
+    def test_json_rows_are_canonical_json(self, capsys, monkeypatch):
+        # The rows are written by hand, so each must read back to itself
+        # under json.dumps: escapes in the graph6, null, and the key order.
+        from biclique_lab.graphs import enumerate_connected_graphs
+
+        lines = [write_graph6(g) for g in enumerate_connected_graphs(7)] + ["F?L\\O"]
+        code, out, err = run(capsys, ["distance", "--format", "json"], "\n".join(lines) + "\n", monkeypatch)
+        assert code == EXIT_OK and err == ""
+        rows = out.splitlines()
+        for line in rows:
+            assert line == json.dumps(json.loads(line), separators=(",", ":"))
+        keys = ["schema", "graph6", "i", "j", "d_g", "d_kb", "formula_value", "closest_pair", "witness_count"]
+        payloads = [json.loads(line) for line in rows]
+        assert all(list(p) == keys for p in payloads)
+        assert any(p["graph6"] == "F?L\\O" for p in payloads)
+        assert any(p["witness_count"] is None for p in payloads)
+        assert any(p["witness_count"] is not None for p in payloads)
+
 
 class TestCheckCommand:
     def test_crown_negative_exit(self, tmp_path, capsys):

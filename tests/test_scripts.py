@@ -2,7 +2,7 @@
 user runs them.
 
 ``build_reference.py`` is not run here: its sweep over every connected host
-on up to 9 vertices takes about 5 minutes on one core.
+on up to 9 vertices takes about 3 minutes on one core.
 """
 
 from __future__ import annotations
