@@ -12,7 +12,7 @@ Provided here:
 * graph6 reading/writing (single-byte header regime, n <= 62),
 * BFS distances, connectivity and 2-connectivity,
 * an exact canonical form (lexicographically least graph6 string over all
-  relabelings, computed by a pruned ordering search),
+  relabelings, computed by a pruned search over ordered vertex partitions),
 * exhaustive generation of connected graphs up to isomorphism, with
   augmentations filtered by canonical deletion before the canonical search.
 """
@@ -326,8 +326,17 @@ def is_biconnected(g: Graph) -> bool:
 # (0,1), (0,2), (1,2), (0,3), ... -- so the least bit string can be found by
 # growing a vertex ordering one position at a time: placing vertex p_k fixes
 # column k, the k bits adj(p_0,p_k)..adj(p_{k-1},p_k), and nothing earlier.
-# A branch-and-bound over orderings with per-position pruning is exact and
-# fast at the orders used here; it keeps the least columns, not an ordering.
+#
+# The search state is an ordered partition of the unplaced vertices: a cell
+# is (bits, mask), the vertices whose column so far (their adjacency to the
+# placed prefix) is ``bits``, and the cells run in increasing ``bits``.  Only the first cell can give the
+# least next column, so only its vertices are branched on.  Placing v splits
+# every cell, minus v, into the vertices not adjacent to v (bits << 1) and
+# then those adjacent to v (bits << 1 | 1), which keeps the order.  A branch
+# whose first cell is already above the best column found at that position
+# is cut.  The search keeps the least columns, not an ordering.  Ordered
+# partitions are also the state of McKay 1981 and McKay & Piperno 2014,
+# which refine them further.
 
 _BITS_SENTINEL = 1 << 63
 
@@ -337,36 +346,36 @@ def _canonical_columns(n: int, adj: Sequence[int]) -> list[int]:
     k-bit int with adj(p_0,p_k) most significant, for every k < n."""
     best = [_BITS_SENTINEL] * n
 
-    def place(pos: int, bits_by_vertex: dict[int, int]) -> None:
-        groups: dict[int, list[int]] = {}
-        for v, b in bits_by_vertex.items():
-            groups.setdefault(b, []).append(v)
-        for b in sorted(groups):
-            if b > best[pos]:
-                break
-            if b < best[pos]:
-                best[pos] = b
-                for k in range(pos + 1, n):
-                    best[k] = _BITS_SENTINEL
-            if pos + 1 == n:
-                return
-            # Swapping twins v, w (equal neighbourhoods apart from v and w) is an
-            # automorphism fixing the placed prefix, so w after v gives the same
-            # columns.  Adjacent twins have equal closed neighbourhoods, others
-            # equal open ones; no open neighbourhood equals a closed one.
-            tried: set[int] = set()
-            for v in groups[b]:
-                if adj[v] in tried or adj[v] | 1 << v in tried:
-                    continue
-                tried.update((adj[v], adj[v] | 1 << v))
-                nxt = {
-                    u: (ub << 1) | ((adj[u] >> v) & 1)
-                    for u, ub in bits_by_vertex.items()
-                    if u != v
-                }
-                place(pos + 1, nxt)
+    def place(pos: int, cells: list[tuple[int, int]]) -> None:
+        bits, mask = cells[0]
+        if bits < best[pos]:
+            best[pos] = bits
+            for k in range(pos + 1, n):
+                best[k] = _BITS_SENTINEL
+        if pos + 1 == n:
+            return
+        # Swapping twins v, w (equal neighbourhoods apart from v and w) is an
+        # automorphism fixing the placed prefix, so w after v gives the same
+        # columns.  Adjacent twins have equal closed neighbourhoods, others
+        # equal open ones; no open neighbourhood equals a closed one.
+        tried: set[int] = set()
+        for v in _bits(mask):
+            near = adj[v]
+            closed = near | 1 << v
+            if near in tried or closed in tried:
+                continue
+            tried.update((near, closed))
+            far = ~closed
+            split = []
+            for b, m in cells:
+                if m & far:
+                    split.append((b << 1, m & far))
+                if m & near:
+                    split.append((b << 1 | 1, m & near))
+            if split[0][0] <= best[pos + 1]:
+                place(pos + 1, split)
 
-    place(0, dict.fromkeys(range(n), 0))
+    place(0, [(0, (1 << n) - 1)])
     return best
 
 

@@ -22,10 +22,8 @@ import os
 import threading
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from multiprocessing import get_context
 from pathlib import Path
 
 from .bicliques import biclique_graph, biclique_graph_with_limit
@@ -203,6 +201,10 @@ def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple]:
         for host in _hosts(max_h_order):
             yield host.adj, _kb_key(host, orders)
         return
+    # Imported here, so a serial run never loads the pool's modules.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         pending: deque = deque()
         for chunk in _host_chunks(max_h_order):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +137,25 @@ class TestCanonicalForm:
             for g in enumerate_connected_graphs(n):
                 assert canonical_form(g) == canonical_oracle(g)
 
+    def test_relabelled_classes_match_brute_force(self):
+        # The representatives are canonically labelled already; a random
+        # relabelling of each makes the search find the order itself.
+        rng = random.Random(16)
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = permuted(g, perm)
+                assert canonical_form(h) == canonical_oracle(h), write_graph6(h)
+
+    def test_every_labelled_graph_matches_brute_force(self):
+        # Disconnected graphs included: 1 + 2 + 8 + 64 + 1024 graphs.
+        for n in range(1, 6):
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            for edges in range(1 << len(pairs)):
+                g = Graph(n, [pair for i, pair in enumerate(pairs) if edges >> i & 1])
+                assert canonical_form(g) == canonical_oracle(g), write_graph6(g)
+
     def test_canonical_graph_is_isomorphic_relabeling(self):
         g = HAJOS.graph
         cg = canonical_graph(g)
@@ -165,6 +186,8 @@ class TestCanonicalForm:
     def test_twin_rich_order_12(self):
         # Twin-rich: trying every ordering of the twins would take hours.
         assert canonical_form(complete_graph(12)) == "K" + "~" * 11
+        # No edge: one cell that never splits.
+        assert canonical_form(Graph(12)) == "K" + "?" * 11
         # One side placed first, then the other, is the least labelling.
         blocks = Graph(12, [(u, v) for u in range(6) for v in range(6, 12)])
         interleaved = Graph(12, [(u, v) for u in range(0, 12, 2) for v in range(1, 12, 2)])

@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +352,23 @@ class TestDeterminism:
         write_catalogue(b, tmp_path / "y")
         for name in ("catalogue-n2.jsonl", "catalogue-n3.jsonl"):
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+    def test_serial_sweep_loads_no_pool_modules(self):
+        # Run in a fresh interpreter: this one may have loaded them already.
+        code = (
+            "import sys\n"
+            "import biclique_lab.cli\n"
+            "from biclique_lab.recognition import positive_preimages\n"
+            "positive_preimages(4, 5, workers=1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing', 'socket', 'logging')))\n"
+        )
+        src = str(Path(recognition.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=False)
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().strip() == "[]"
 
     def test_parallel_merge_agrees_with_serial(self):
         assert len(list(_host_chunks(7))) > 2  # 995 hosts on 2..7 vertices
