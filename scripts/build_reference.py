@@ -2,9 +2,10 @@
 """Rebuild the shipped reference list of biclique graphs on 2..6 vertices.
 
 Runs the library's exhaustive preimage sweep over every connected host on
-up to 9 vertices, ``positive_preimages(6, 9)``, on ``default_worker_count()``
-processes (``BICLIQUE_LAB_WORKERS``, else the CPU count; about 3 minutes
-on one core), and writes two files into the fixtures directory:
+up to 9 vertices, ``positive_preimages(6, 9)``, with one worker process per
+CPU for the hosts on 9 vertices (about 80 seconds on 2 CPUs; the serial
+sweep is ``biclique-lab catalogue --max-h-order 9 --workers 1``), and writes
+two files into the fixtures directory:
 
 * ``biclique_graphs_up_to_6.g6``: one canonical graph6 per line, after a
   ``#`` header that records how the file was made;
@@ -20,16 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
 from biclique_lab import __version__
 from biclique_lab.graphs import parse_graph6, write_graph6
-from biclique_lab.recognition import (
-    default_reference_path,
-    default_worker_count,
-    positive_preimages,
-)
+from biclique_lab.recognition import default_reference_path, positive_preimages
 
 MAX_G_ORDER = 6
 MAX_H_ORDER = 9
@@ -40,7 +38,7 @@ def main() -> int:
     parser.add_argument("--out", default=str(default_reference_path().parent))
     args = parser.parse_args()
 
-    positives = positive_preimages(MAX_G_ORDER, MAX_H_ORDER, workers=default_worker_count())
+    positives = positive_preimages(MAX_G_ORDER, MAX_H_ORDER, workers=os.cpu_count() or 1)
     keys = sorted(positives, key=lambda key: (parse_graph6(key).n, key))
     by_order = Counter(parse_graph6(key).n for key in keys)
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Corpus-wide verification of the biclique distance formula.
 
-For every connected graph up to the given order (default 6) and every pair
-of distinct bicliques, checks d_KB = floor((d_G + 1)/2) + 1 and the witness
-lower bound (at least k+1 bicliques within distance k-1 of a distance-k
-pair).  Prints one summary row per order.
+For every connected graph up to the given order (2..8, default 6) and
+every pair of distinct bicliques, checks d_KB = floor((d_G + 1)/2) + 1 and
+the witness lower bound (at least k+1 bicliques within distance k-1 of a
+distance-k pair).  Prints one summary row per order.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 
 from biclique_lab.distances import verify_distance_formula
-from biclique_lab.graphs import enumerate_connected_graphs
+from biclique_lab.graphs import MAX_GENERATION_ORDER, enumerate_connected_graphs
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-order", type=int, default=6)
+    parser.add_argument(
+        "--max-order", type=int, choices=range(2, MAX_GENERATION_ORDER + 1), default=6
+    )
     args = parser.parse_args()
 
     print(f"{'order':>5} {'graphs':>7} {'pairs':>8} {'max d_G':>8} {'min witnesses':>14}")

@@ -14,8 +14,9 @@ and exposes the library as composable subcommands:
   conjectures  scan catalogue positives for conjecture counterexamples
                [--catalogue, --out, --i-max, --containment]
 
-Only ``catalogue`` runs worker processes: ``--workers N`` (N >= 1), else
-``BICLIQUE_LAB_WORKERS``, else the CPU count.
+Only ``catalogue`` runs worker processes, and only for the hosts on 9
+vertices (``--max-h-order 9``): ``--workers N`` (N >= 1, default the CPU
+count) sizes that pool, and N = 1 walks them in-process.
 
 Exit codes: 0 clean; 1 parse/input errors; 2 capability errors (size bounds,
 for every per-graph command and for ``catalogue``); 3 reference-fixture
@@ -33,6 +34,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -56,7 +58,6 @@ from .recognition import (
     check_catalogue_bounds,
     compare_with_reference,
     default_reference_path,
-    default_worker_count,
     load_catalogue,
     search_preimage,
     write_catalogue,
@@ -217,10 +218,9 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalogue(args: argparse.Namespace) -> int:
-    workers = default_worker_count() if args.workers is None else args.workers
     check_catalogue_bounds(args.max_g_order, args.max_h_order)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep
-    entries = build_catalogue(args.max_g_order, args.max_h_order, workers=workers)
+    entries = build_catalogue(args.max_g_order, args.max_h_order, workers=args.workers)
     paths = write_catalogue(entries, args.out_dir)
     totals = Counter(entry.classification for entry in entries)
     for classification in sorted(totals):
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=_int_at_least(1),
-        default=None,
-        help="worker processes (default: BICLIQUE_LAB_WORKERS, else the CPU count)",
+        default=os.cpu_count() or 1,
+        help="worker processes for the hosts on 9 vertices (default: the CPU count)",
     )
     p.add_argument(
         "--strict", action="store_true", help="fail when the reference comparison is skipped"

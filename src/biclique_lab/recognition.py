@@ -18,12 +18,11 @@ Positive and negative evidence is re-derivable: ``verify_entry`` recomputes it.
 from __future__ import annotations
 
 import json
-import os
 import threading
-from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .bicliques import biclique_graph, biclique_graph_with_limit
@@ -47,12 +46,6 @@ from .obstructions import CHECK_NAMES, classify
 #: augmentation beyond generation: every connected graph of this order appears
 #: (possibly repeatedly), exhaustive over classes without materialising them.
 MAX_PREIMAGE_ORDER = MAX_GENERATION_ORDER + 1
-
-#: Hosts per unit of work in ``positive_preimages``.
-_CHUNK_SIZE = 256
-
-#: Chunks submitted to the pool and not yet merged, at most.
-_CHUNKS_IN_FLIGHT = 16
 
 BICLIQUE_GRAPH = "biclique-graph"
 NOT_BICLIQUE_GRAPH = "not-biclique-graph"
@@ -129,18 +122,6 @@ def check_catalogue_bounds(max_g_order: int, max_h_order: int) -> None:
         raise CapabilityError("max_h_order must be at least max_g_order")
 
 
-def _hosts(max_h_order: int) -> Iterator[Graph]:
-    """Connected hosts on 2..max_h_order vertices, in generation order:
-    class representatives up to MAX_GENERATION_ORDER, then every augmentation
-    of that corpus by one vertex with a nonempty neighbourhood (covers all
-    classes of MAX_PREIMAGE_ORDER, with repetitions, in a fixed order)."""
-    for n in range(2, min(max_h_order, MAX_GENERATION_ORDER) + 1):
-        yield from enumerate_connected_graphs(n)
-    if max_h_order >= MAX_PREIMAGE_ORDER:
-        for parent in enumerate_connected_graphs(MAX_GENERATION_ORDER):
-            yield from _augmentations(parent)
-
-
 def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     """First connected H (in generation order) with KB(H) isomorphic to g.
 
@@ -163,8 +144,7 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
                 if step is None:
                     return None
                 adj, key = step
-                if key is not None:
-                    first.setdefault(key, adj)
+                first.setdefault(key, adj)
         except BaseException:
             _SWEEPS.pop(sweep_id, None)  # the sweep is closed now; the next miss starts again
             raise
@@ -172,48 +152,49 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     return Graph._raw(len(adj), adj)
 
 
-def _kb_key(host: Graph, orders: range) -> str | None:
-    """Canonical KB(host) when its order is in orders, else None."""
-    kb, _ = biclique_graph_with_limit(host, orders[-1])
-    return canonical_form(kb) if kb is not None and kb.n in orders else None
+def _hits(hosts: Iterable[Graph], orders: range) -> Iterator[tuple[tuple[int, ...], str]]:
+    """(adjacency, canonical KB) of each host whose KB has an order in orders."""
+    for host in hosts:
+        kb, _ = biclique_graph_with_limit(host, orders[-1])
+        if kb is not None and kb.n in orders:
+            yield host.adj, canonical_form(kb)
 
 
-def _positives_chunk(args: tuple[range, list[tuple[int, ...]]]) -> list[str | None]:
-    """``_kb_key`` of each host adjacency in a chunk: one pool task."""
-    orders, hosts = args
-    return [_kb_key(Graph._raw(len(adj), adj), orders) for adj in hosts]
+def _parent_hits(orders: range, parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], str]]:
+    """The hits among the augmentations of one parent adjacency: one pool task."""
+    return list(_hits(_augmentations(Graph._raw(len(parent), parent)), orders))
 
 
-def _host_chunks(max_h_order: int) -> Iterator[list[tuple[int, ...]]]:
-    """Adjacency tuples of every host on 2..max_h_order vertices, in
-    generation order, _CHUNK_SIZE at a time."""
-    hosts = (host.adj for host in _hosts(max_h_order))
-    while chunk := list(islice(hosts, _CHUNK_SIZE)):
-        yield chunk
+def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[tuple[int, ...], str]]:
+    """The preimage sweep: ``_hits`` of every host on 2..max_h_order
+    vertices, in generation order.
 
-
-def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple]:
-    """(adjacency, ``_kb_key``) of every host, in generation order: the
-    preimage sweep.  Serial with one worker, so a reader may stop early;
-    otherwise a process pool maps chunks of hosts, at most _CHUNKS_IN_FLIGHT
-    at a time, and they are read back in chunk order."""
-    if workers == 1:
-        for host in _hosts(max_h_order):
-            yield host.adj, _kb_key(host, orders)
+    The hosts are the class representatives up to MAX_GENERATION_ORDER, then
+    every augmentation of each representative of that order by one vertex
+    (which covers all classes of MAX_PREIMAGE_ORDER, with repetitions).  The
+    representatives are walked in-process.  With more than one worker, a
+    process pool maps the parents of the last stretch, one task each, and
+    their hits are read in parent order; otherwise that stretch is walked
+    lazily too, so a reader may stop at any host.
+    """
+    for n in range(2, min(max_h_order, MAX_GENERATION_ORDER) + 1):
+        yield from _hits(enumerate_connected_graphs(n), orders)
+    if max_h_order < MAX_PREIMAGE_ORDER:
         return
-    # Imported here, so a serial run never loads the pool's modules.
+    parents = enumerate_connected_graphs(MAX_GENERATION_ORDER)
+    if workers <= 1:
+        yield from _hits(chain.from_iterable(map(_augmentations, parents)), orders)
+        return
+    # Imported here, so a sweep that never reaches this stretch loads no pool modules.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-        pending: deque = deque()
-        for chunk in _host_chunks(max_h_order):
-            pending.append((chunk, pool.submit(_positives_chunk, (orders, chunk))))
-            if len(pending) >= _CHUNKS_IN_FLIGHT:
-                chunk, future = pending.popleft()
-                yield from zip(chunk, future.result())
-        for chunk, future in pending:
-            yield from zip(chunk, future.result())
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+    try:
+        for hits in pool.map(partial(_parent_hits, orders), (parent.adj for parent in parents)):
+            yield from hits
+    finally:
+        pool.shutdown(cancel_futures=True)  # a reader that stops early waits for no queued task
 
 
 def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> dict[str, Graph]:
@@ -229,24 +210,8 @@ def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> 
         raise CapabilityError(f"max_g_order must be in 2..{MAX_CANONICAL_ORDER}, got {max_g_order}")
     out: dict[str, Graph] = {}
     for adj, key in _swept(range(2, max_g_order + 1), max_h_order, workers):
-        if key is not None:
-            out.setdefault(key, Graph._raw(len(adj), adj))
+        out.setdefault(key, Graph._raw(len(adj), adj))
     return out
-
-
-def default_worker_count() -> int:
-    """``BICLIQUE_LAB_WORKERS`` if set, else the CPU count; ValueError unless
-    the variable is an integer of at least 1."""
-    env = os.environ.get("BICLIQUE_LAB_WORKERS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"BICLIQUE_LAB_WORKERS must be an integer of at least 1, got {env!r}")
-    return workers
 
 
 def build_catalogue(
@@ -346,8 +311,8 @@ def write_catalogue(entries: list[CatalogueEntry], directory: str | Path) -> lis
 
 
 def load_catalogue(directory: str | Path) -> list[CatalogueEntry]:
-    """Every entry under ``directory``; a line that is not an entry raises
-    ValueError naming ``path:line``."""
+    """Every entry under ``directory``; a line that is not an entry, or
+    whose graph6 is not a graph6 string, raises ValueError naming ``path:line``."""
     entries = []
     for path in sorted(Path(directory).glob(_CATALOGUE_FILES)):
         with open(path) as handle:
@@ -355,7 +320,11 @@ def load_catalogue(directory: str | Path) -> list[CatalogueEntry]:
                 if not line.strip():
                     continue
                 try:
-                    entries.append(CatalogueEntry.from_json(json.loads(line)))
+                    entry = CatalogueEntry.from_json(json.loads(line))
+                    if not isinstance(entry.graph6, str):
+                        raise TypeError(f"graph6 is not a string: {entry.graph6!r}")
+                    parse_graph6(entry.graph6)
+                    entries.append(entry)
                 except KeyError as exc:
                     raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
                 except (TypeError, ValueError) as exc:

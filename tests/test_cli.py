@@ -25,6 +25,10 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+# A catalogue line with every key, its graph6 value left to fill in.
+_ENTRY = '{"graph6":%s,"order":2,"classification":"biclique-graph","searched_max_h":4}'
+
+
 def write_g6(tmp_path, name, *graphs):
     path = tmp_path / name
     path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
@@ -470,7 +474,13 @@ class TestWholeCommandErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "line, message", [("{not json", "Expecting property name"), ('{"graph6":"A_"}', "missing key")]
+        "line, message",
+        [
+            ("{not json", "Expecting property name"),
+            ('{"graph6":"A_"}', "missing key"),
+            (_ENTRY % "5", "graph6 is not a string: 5"),
+            (_ENTRY % '"A_x"', "graph6 body for n=2 needs 1 bytes, got 2"),
+        ],
     )
     def test_malformed_catalogue_line(self, line, message, tmp_path, capsys):
         path = tmp_path / "catalogue-n2.jsonl"
@@ -487,51 +497,6 @@ class TestWholeCommandErrors:
         )
         assert code == EXIT_PARSE and out == ""
         assert err.count("\n") == 1 and "No such file or directory" in err
-
-
-class TestEnvironmentWorkerDefault:
-    def test_env_override(self, monkeypatch):
-        from biclique_lab.recognition import default_worker_count
-
-        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "3")
-        assert default_worker_count() == 3
-
-    def test_malformed_env_is_a_one_line_catalogue_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "abc")
-        code, out, err = run(
-            capsys,
-            ["catalogue", "--max-g-order", "3", "--max-h-order", "4", "--out", str(tmp_path / "cat")],
-        )
-        assert code == EXIT_PARSE
-        assert out == ""
-        assert err.count("\n") == 1 and "BICLIQUE_LAB_WORKERS" in err and "'abc'" in err
-        assert not (tmp_path / "cat").exists()
-
-    def test_malformed_env_is_ignored_outside_catalogue(self, capsys, monkeypatch):
-        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "abc")
-        code, out, err = run(capsys, ["kb"], stdin="Bw\n", monkeypatch=monkeypatch)
-        assert code == EXIT_OK and out == "Bw\n" and err == ""
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_env_below_one_is_a_one_line_catalogue_error(self, value, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", value)
-        code, out, err = run(
-            capsys,
-            ["catalogue", "--max-g-order", "3", "--max-h-order", "4", "--out", str(tmp_path / "cat")],
-        )
-        assert code == EXIT_PARSE
-        assert out == ""
-        assert err.count("\n") == 1 and "BICLIQUE_LAB_WORKERS" in err and f"'{value}'" in err
-        assert not (tmp_path / "cat").exists()
-
-    def test_workers_flag_wins_over_a_malformed_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BICLIQUE_LAB_WORKERS", "abc")
-        code, out, err = run(
-            capsys,
-            ["catalogue", "--max-g-order", "3", "--max-h-order", "4", "--out", str(tmp_path / "cat"),
-             "--workers", "1"],
-        )
-        assert code == EXIT_OK and "wrote\t" in out
 
 
 class TestFlags:

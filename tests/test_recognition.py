@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import random
 import subprocess
@@ -27,7 +28,6 @@ from biclique_lab.recognition import (
     BICLIQUE_GRAPH,
     NOT_BICLIQUE_GRAPH,
     CatalogueEntry,
-    _host_chunks,
     build_catalogue,
     compare_with_reference,
     load_catalogue,
@@ -123,7 +123,7 @@ class TestResumedSweep:
         calls = _count_capped_kb(monkeypatch)
         assert search_preimage(complete_graph(3), 6) == complete_graph(3)
         assert search_preimage(path_graph(3), 6) is None
-        hosts = list(recognition._hosts(6))
+        hosts = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
         assert calls == hosts  # two queries, one walk: every host once, in order
 
     def test_query_after_a_miss_computes_no_kb(self, monkeypatch):
@@ -255,10 +255,10 @@ class TestBuildCatalogue:
         ids=["catalogue-past-generation", "sweep-past-canonical-form", "sweep-below-2"],
     )
     def test_class_bound_fails_before_any_host(self, build, bounds, monkeypatch):
-        def no_hosts(max_h_order):
+        def no_hosts(n):
             pytest.fail("a host was enumerated before the bounds were checked")
 
-        monkeypatch.setattr(recognition, "_hosts", no_hosts)
+        monkeypatch.setattr(recognition, "enumerate_connected_graphs", no_hosts)
         with pytest.raises(CapabilityError, match="max_g_order"):
             build(*bounds)
 
@@ -360,6 +360,7 @@ class TestDeterminism:
             "import biclique_lab.cli\n"
             "from biclique_lab.recognition import positive_preimages\n"
             "positive_preimages(4, 5, workers=1)\n"
+            "positive_preimages(4, 5, workers=2)\n"  # no host on 9 vertices, so no pool
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('concurrent', 'multiprocessing', 'socket', 'logging')))\n"
         )
@@ -370,11 +371,17 @@ class TestDeterminism:
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().strip() == "[]"
 
-    def test_parallel_merge_agrees_with_serial(self):
-        assert len(list(_host_chunks(7))) > 2  # 995 hosts on 2..7 vertices
-        serial = positive_preimages(6, 7, workers=1)
-        parallel = positive_preimages(6, 7, workers=2)
-        assert len(serial) > 10
-        assert {k: write_graph6(v) for k, v in serial.items()} == {
-            k: write_graph6(v) for k, v in parallel.items()
-        }
+    def test_pool_stretch_agrees_with_the_in_process_walk(self, monkeypatch):
+        # The pool maps the parents of the last stretch only, one task each.
+        # With the generation bound at 6 that stretch is the 112 classes on 6
+        # vertices, augmented to about 7,000 hosts on 7: seconds, not minutes.
+        monkeypatch.setattr(recognition, "MAX_GENERATION_ORDER", 6)
+        monkeypatch.setattr(recognition, "MAX_PREIMAGE_ORDER", 7)
+        orders = range(2, 7)
+        serial = list(recognition._swept(orders, 7, 1))
+        assert sum(len(adj) == 7 for adj, _ in serial) > 1000
+        assert list(recognition._swept(orders, 7, 2)) == serial
+        sweep = recognition._swept(orders, 7, 2)
+        assert next(hit for hit in sweep if len(hit[0]) == 7) in serial
+        sweep.close()  # stops the pool; the queued tasks are cancelled
+        assert multiprocessing.active_children() == []
