@@ -19,6 +19,7 @@ once.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from .graphs import Graph, GraphError, CapabilityError, _bits, _require_connected
@@ -29,28 +30,26 @@ from .graphs import Graph, GraphError, CapabilityError, _bits, _require_connecte
 MAX_HOST_ORDER = 20
 
 
+@dataclass(frozen=True, slots=True)
 class Biclique:
     """One maximal induced complete bipartite subgraph, as vertex bitmasks.
 
     ``side_a`` is the side containing the smallest vertex id; equality and
-    ordering are by vertex set (the bipartition of a connected complete
+    hashing are by vertex set (the bipartition of a connected complete
     bipartite graph is unique up to swapping sides).
     """
 
-    __slots__ = ("mask", "side_a", "side_b")
+    mask: int
+    side_a: int = field(compare=False)
+    side_b: int = field(compare=False)
 
-    def __init__(self, mask: int, side_a: int, side_b: int):
-        if side_a | side_b != mask or side_a & side_b:
+    def __post_init__(self) -> None:
+        side_a, side_b = self.side_a, self.side_b
+        if side_a | side_b != self.mask or side_a & side_b:
             raise GraphError("sides must partition the vertex set")
-        low = mask & -mask
-        if not side_a & low:
-            side_a, side_b = side_b, side_a
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "side_a", side_a)
-        object.__setattr__(self, "side_b", side_b)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Biclique is immutable")
+        if not side_a & self.mask & -self.mask:
+            object.__setattr__(self, "side_a", side_b)
+            object.__setattr__(self, "side_b", side_a)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -63,17 +62,12 @@ class Biclique:
     def __contains__(self, v: int) -> bool:
         return bool((self.mask >> v) & 1)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Biclique) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
     def __repr__(self) -> str:
         a, b = self.sides
         return f"Biclique({list(a)}|{list(b)})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class BicliqueFamily:
     """All bicliques of a host graph, indexed, with vertex incidence.
 
@@ -82,7 +76,8 @@ class BicliqueFamily:
     reproducible across runs.
     """
 
-    __slots__ = ("host", "bicliques", "incidence")
+    bicliques: tuple[Biclique, ...]
+    incidence: tuple[int, ...]
 
     def __init__(self, host: Graph, bicliques: Iterable[Biclique]):
         ordered = tuple(sorted(bicliques, key=lambda b: b.vertices))
@@ -90,12 +85,8 @@ class BicliqueFamily:
         for index, biclique in enumerate(ordered):
             for v in _bits(biclique.mask):
                 incidence[v] |= 1 << index
-        object.__setattr__(self, "host", host)
         object.__setattr__(self, "bicliques", ordered)
         object.__setattr__(self, "incidence", tuple(incidence))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("BicliqueFamily is immutable")
 
     def __len__(self) -> int:
         return len(self.bicliques)

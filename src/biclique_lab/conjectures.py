@@ -34,8 +34,6 @@ from .obstructions import _is_diamond, _jsonable
 #: Full-subfamily Helly checks are exponential in the family size.
 MAX_HELLY_FAMILY = 16
 
-CONJECTURES = ("simplicial-helly", "generalized-twins", "hamiltonian")
-
 
 @dataclass(frozen=True)
 class ConjectureFinding:
@@ -85,20 +83,21 @@ def non_helly_subfamily(sets: list[int]) -> tuple[int, ...] | None:
     return grow([], ~0, 0)
 
 
-def check_simplicial_helly(g: Graph) -> ConjectureFinding:
+def check_simplicial_helly(g: Graph, certified: bool = False) -> ConjectureFinding:
+    """Counterexample only when the configuration sits in a certified
+    biclique graph."""
     _require_connected(g)
     simplicial = simplicial_vertices(g)
     closed = [g.adj[v] | (1 << v) for v in simplicial]
     bad = non_helly_subfamily(closed)
     if bad is None:
         return ConjectureFinding("simplicial-helly", write_graph6(g), "consistent")
-    return ConjectureFinding(
-        "simplicial-helly",
-        write_graph6(g),
-        "counterexample",
-        witness=tuple(simplicial[k] for k in bad),
-        note="pairwise-meeting simplicial closed neighbourhoods with empty core",
+    notes = (
+        "pairwise-meeting simplicial closed neighbourhoods with empty core",
+        "configuration present but the graph is not a certified biclique graph",
     )
+    witness = tuple(simplicial[k] for k in bad)
+    return _forbidden_configuration("simplicial-helly", g, certified, notes, witness)
 
 
 def _is_complete_set(g: Graph, mask: int) -> bool:
@@ -164,13 +163,6 @@ def iter_generalized_twins(g: Graph, i_max: int | None = None, containment: str 
                 }
 
 
-def find_generalized_twins(
-    g: Graph, i_max: int | None = None, containment: str = "exact"
-) -> dict | None:
-    """First generalized-twin witness, or None."""
-    return next(iter_generalized_twins(g, i_max=i_max, containment=containment), None)
-
-
 def _forbidden_configuration(
     conjecture: str,
     g: Graph,
@@ -197,7 +189,7 @@ def check_generalized_twins(
         return ConjectureFinding(
             "generalized-twins", write_graph6(g), "not-applicable", note="the diamond is exempt"
         )
-    witness = find_generalized_twins(g, i_max=i_max, containment=containment)
+    witness = next(iter_generalized_twins(g, i_max=i_max, containment=containment), None)
     if witness is None:
         return ConjectureFinding("generalized-twins", write_graph6(g), "consistent")
     flat = (witness["vertices"], witness["i"], witness["common_neighbourhood"], witness["clique"])
@@ -332,7 +324,7 @@ def scan_certified_graphs(
     deterministic order."""
     findings = []
     for g in certified:
-        findings.append(check_simplicial_helly(g))
+        findings.append(check_simplicial_helly(g, certified=True))
         findings.append(
             check_generalized_twins(g, i_max=i_max, containment=containment, certified=True)
         )

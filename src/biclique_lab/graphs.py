@@ -20,7 +20,9 @@ Provided here:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from functools import lru_cache
+
 INFINITY = float("inf")
 
 #: Largest order accepted by the exact canonical-form search.
@@ -59,10 +61,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """An immutable simple undirected graph on vertices 0..n-1."""
-
-    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[int, ...]
@@ -88,15 +89,6 @@ class Graph:
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
         return g
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {sorted(self.edges())})"

@@ -100,15 +100,10 @@ def _gem_wings(g: Graph, u: int, v: int, w: int):
             yield z1, z2
 
 
-def p3_in_gem(g: Graph, u: int, v: int, w: int) -> bool:
-    """Some gem completes the P3 u-v-w, with the P3 through the hub."""
-    return next(_gem_wings(g, u, v, w), None) is not None
-
-
 def check_p3_diamond_gem(g: Graph) -> CheckResult:
     _require_connected(g)
     for u, v, w in induced_p3s(g):
-        if p3_in_diamond(g, u, v, w) or p3_in_gem(g, u, v, w):
+        if p3_in_diamond(g, u, v, w) or any(_gem_wings(g, u, v, w)):
             continue
         return CheckResult(Verdict.FAIL, witness=(u, v, w), note="induced P3 in no diamond or gem")
     return _PASS

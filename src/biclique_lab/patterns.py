@@ -24,7 +24,6 @@ class PatternGraph:
     constrained: tuple[int, ...] = ()
     #: drawing coordinates, index-aligned with vertices, for auditing
     layout: tuple[tuple[float, float], ...] = ()
-    summary: str = ""
 
 
 def _g(n: int, edges: str) -> Graph:
@@ -36,7 +35,6 @@ DIAMOND = PatternGraph(
     name="diamond",
     graph=_g(4, "0-1 0-2 0-3 1-2 1-3"),
     layout=((0.0, 1.0), (0.0, -1.0), (-1.0, 0.0), (1.0, 0.0)),
-    summary="K4 minus an edge",
 )
 
 #: Induced path 0-1-2-3 plus the universal vertex 4.
@@ -44,7 +42,6 @@ GEM = PatternGraph(
     name="gem",
     graph=_g(5, "0-1 1-2 2-3 0-4 1-4 2-4 3-4"),
     layout=((-1.5, 1.0), (-0.5, 1.5), (0.5, 1.5), (1.5, 1.0), (0.0, 0.0)),
-    summary="P4 plus a universal vertex",
 )
 
 #: Triangle 0,1,2 with one degree-2 vertex on each pair (the 3-sun).
@@ -53,7 +50,6 @@ HAJOS = PatternGraph(
     graph=_g(6, "0-1 0-2 1-2 3-0 3-1 4-1 4-2 5-0 5-2"),
     constrained=(3, 4, 5),
     layout=((-1.0, 0.0), (1.0, 0.0), (0.0, 1.7), (0.0, -0.6), (1.2, 1.2), (-1.2, 1.2)),
-    summary="triangle with a degree-2 vertex over each edge",
 )
 
 #: Diamond core (0,1 adjacent to each other and to the rim 2, 5; rim pair
@@ -71,7 +67,6 @@ RISING_SUN = PatternGraph(
         (1.0, 0.0),
         (1.9, 0.7),
     ),
-    summary="diamond with rays on the crest and both slopes",
 )
 
 #: Rising sun with the rim closed into K4 (adds the 2-5 edge).
@@ -88,7 +83,6 @@ X1 = PatternGraph(
         (1.0, 0.0),
         (1.9, 0.7),
     ),
-    summary="K4 with degree-2 rays over three edges forming a path",
 )
 
 #: The forbidden-structure battery, in reporting order.
@@ -101,7 +95,6 @@ CROWN = PatternGraph(
     name="crown",
     graph=_g(5, "0-1 0-2 1-2 0-3 1-3 0-4 1-4"),
     layout=((-1.0, 0.0), (1.0, 0.0), (-1.0, 1.4), (0.0, 1.6), (1.0, 1.4)),
-    summary="an edge with three points mounted on it",
 )
 
 #: Crown with a fourth point: 4 degree-2 pages out of 6 vertices.
@@ -109,7 +102,6 @@ BOOK_4 = PatternGraph(
     name="book-4",
     graph=_g(6, "0-1 0-2 1-2 0-3 1-3 0-4 1-4 0-5 1-5"),
     layout=((-1.0, 0.0), (1.0, 0.0), (-1.4, 1.2), (-0.5, 1.6), (0.5, 1.6), (1.4, 1.2)),
-    summary="an edge with four points mounted on it",
 )
 
 #: Crown with five points: 5 degree-2 pages out of 7 vertices.
@@ -125,7 +117,6 @@ BOOK_5 = PatternGraph(
         (0.8, 1.5),
         (1.6, 1.0),
     ),
-    summary="an edge with five points mounted on it",
 )
 
 #: K4 with a twin pair mounted on one edge; the only failing check is the
@@ -134,7 +125,6 @@ K4_WITH_TWINS = PatternGraph(
     name="k4-with-twins",
     graph=_g(6, "0-1 0-2 0-3 1-2 1-3 2-3 0-4 1-4 0-5 1-5"),
     layout=((-0.5, 0.0), (0.5, 0.0), (-1.2, -1.0), (1.2, -1.0), (-0.6, 1.3), (0.6, 1.3)),
-    summary="K4 plus two twins over one edge",
 )
 
 #: K4 with a degree-2 vertex over each cycle edge: 4 of 8 vertices have
@@ -152,7 +142,6 @@ SUN_4 = PatternGraph(
         (0.0, -1.9),
         (-1.9, 0.0),
     ),
-    summary="K4 with a degree-2 vertex over each cycle edge",
 )
 
 #: K5 analogue of SUN_4: 5 of 10 vertices have degree two.
@@ -175,7 +164,6 @@ SUN_5 = PatternGraph(
         (-1.47, -0.48),
         (-0.9, 1.25),
     ),
-    summary="K5 with a degree-2 vertex over each cycle edge",
 )
 
 #: Graphs that pass the P3 cover test but are provably not biclique graphs,

@@ -9,6 +9,9 @@ claims are never stronger than the search actually performed.
 One sweep serves the catalogue and ``search_preimage``: it enumerates every
 connected host H up to ``max_h_order`` once, in generation order, computes
 KB(H), and keeps the first host hitting each class of order <= ``max_g_order``.
+On the last host order only the augmentations of parents with at most that
+many bicliques are walked, which loses no hit: no connected induced
+subgraph has more bicliques than its host.
 Catalogue classes never hit are classified by the obstruction battery.
 ``search_preimage`` reads its sweep only as far as the queried class and
 suspends it there, so a process walks each (order, bound) sweep at most once.
@@ -31,7 +34,6 @@ from .graphs import (
     MAX_GENERATION_ORDER,
     CapabilityError,
     Graph,
-    Graph6Error,
     _augmentations,
     _require_connected,
     canonical_form,
@@ -43,8 +45,9 @@ from .graphs import (
 from .obstructions import CHECK_NAMES, classify
 
 #: Host orders above this are out of the supported exhaustive regime.  One
-#: augmentation beyond generation: every connected graph of this order appears
-#: (possibly repeatedly), exhaustive over classes without materialising them.
+#: augmentation beyond generation: every connected graph of this order within
+#: the biclique cap appears (possibly repeatedly), exhaustive over classes
+#: without materialising them.
 MAX_PREIMAGE_ORDER = MAX_GENERATION_ORDER + 1
 
 BICLIQUE_GRAPH = "biclique-graph"
@@ -152,38 +155,47 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     return Graph._raw(len(adj), adj)
 
 
-def _hits(hosts: Iterable[Graph], orders: range) -> Iterator[tuple[tuple[int, ...], str]]:
-    """(adjacency, canonical KB) of each host whose KB has an order in orders."""
+def _hits(
+    hosts: Iterable[Graph], orders: range, capped: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], str]]:
+    """(adjacency, canonical KB) of each host whose KB has an order in orders;
+    the adjacency of each host with at most orders[-1] bicliques is appended
+    to ``capped``."""
     for host in hosts:
         kb, _ = biclique_graph_with_limit(host, orders[-1])
-        if kb is not None and kb.n in orders:
-            yield host.adj, canonical_form(kb)
+        if kb is not None:
+            capped.append(host.adj)
+            if kb.n in orders:
+                yield host.adj, canonical_form(kb)
 
 
 def _parent_hits(orders: range, parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], str]]:
-    """The hits among the augmentations of one parent adjacency: one pool task."""
-    return list(_hits(_augmentations(Graph._raw(len(parent), parent)), orders))
+    """The hits among the augmentations of one parent adjacency: one task."""
+    return list(_hits(_augmentations(Graph._raw(len(parent), parent)), orders, []))
 
 
 def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[tuple[int, ...], str]]:
     """The preimage sweep: ``_hits`` of every host on 2..max_h_order
     vertices, in generation order.
 
-    The hosts are the class representatives up to MAX_GENERATION_ORDER, then
-    every augmentation of each representative of that order by one vertex
-    (which covers all classes of MAX_PREIMAGE_ORDER, with repetitions).  The
-    representatives are walked in-process.  With more than one worker, a
-    process pool maps the parents of the last stretch, one task each, and
-    their hits are read in parent order; otherwise that stretch is walked
-    lazily too, so a reader may stop at any host.
+    The hosts are the class representatives up to MAX_GENERATION_ORDER,
+    walked in-process, then every augmentation by one vertex of each
+    representative of that order with at most orders[-1] bicliques (which
+    covers all classes of MAX_PREIMAGE_ORDER within the cap, with
+    repetitions).  The pruning is exact: a host minus its last vertex is a
+    connected induced subgraph, which has no more bicliques than the host.
+    The parents of the last stretch are mapped one task each, on a process
+    pool with more than one worker and lazily in-process otherwise, so a
+    serial reader may stop at any parent; their hits are read in parent order.
     """
     for n in range(2, min(max_h_order, MAX_GENERATION_ORDER) + 1):
-        yield from _hits(enumerate_connected_graphs(n), orders)
+        capped: list[tuple[int, ...]] = []  # of order n; the last order's are the parents
+        yield from _hits(enumerate_connected_graphs(n), orders, capped)
     if max_h_order < MAX_PREIMAGE_ORDER:
         return
-    parents = enumerate_connected_graphs(MAX_GENERATION_ORDER)
+    task = partial(_parent_hits, orders)
     if workers <= 1:
-        yield from _hits(chain.from_iterable(map(_augmentations, parents)), orders)
+        yield from chain.from_iterable(map(task, capped))
         return
     # Imported here, so a sweep that never reaches this stretch loads no pool modules.
     from concurrent.futures import ProcessPoolExecutor
@@ -191,8 +203,7 @@ def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[tupl
 
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
     try:
-        for hits in pool.map(partial(_parent_hits, orders), (parent.adj for parent in parents)):
-            yield from hits
+        yield from chain.from_iterable(pool.map(task, capped))
     finally:
         pool.shutdown(cancel_futures=True)  # a reader that stops early waits for no queued task
 
@@ -334,7 +345,8 @@ def load_catalogue(directory: str | Path) -> list[CatalogueEntry]:
 
 def load_reference_positives(path: str | Path) -> set[str]:
     """Read a graph6-per-line reference list into canonical forms; a line
-    that is not graph6 raises ValueError naming ``path:line``."""
+    that is not graph6, or is too large to canonicalise, raises ValueError
+    naming ``path:line``."""
     keys = set()
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -343,7 +355,7 @@ def load_reference_positives(path: str | Path) -> set[str]:
                 continue
             try:
                 keys.add(canonical_form(parse_graph6(line)))
-            except Graph6Error as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return keys
 
@@ -358,9 +370,9 @@ class ReferenceComparison:
         return not self.missing and not self.extra
 
 
-def compare_with_reference(entries: list[CatalogueEntry], path: str | Path) -> ReferenceComparison:
+def compare_with_reference(entries: list[CatalogueEntry], reference: set[str]) -> ReferenceComparison:
+    """``reference`` holds canonical forms, as ``load_reference_positives`` reads them."""
     built = {e.graph6 for e in entries if e.classification == BICLIQUE_GRAPH}
-    reference = load_reference_positives(path)
     return ReferenceComparison(
         missing=tuple(sorted(reference - built)),
         extra=tuple(sorted(built - reference)),

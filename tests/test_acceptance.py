@@ -57,6 +57,7 @@ from biclique_lab.recognition import (
     build_catalogue,
     compare_with_reference,
     default_reference_path,
+    load_reference_positives,
     verify_entry,
 )
 
@@ -240,7 +241,8 @@ def test_criterion_5_catalogue_against_reference(catalogue68, reference_preimage
     # reference comparison: every certified reference entry either was built
     # positive, or its recorded preimage needs more than 8 vertices -- those
     # are exactly the entries the bound-8 run must report as missing
-    comparison = compare_with_reference(entries, default_reference_path())
+    reference = load_reference_positives(default_reference_path())
+    comparison = compare_with_reference(entries, reference)
     assert not comparison.extra
     for key in comparison.missing:
         preimage = parse_graph6(reference_preimages[key])
@@ -357,7 +359,7 @@ def test_criterion_7_conjecture_scans(catalogue68, host_scan):
     superset_hits = {}
     for e in certified:
         g = e.graph
-        assert check_simplicial_helly(g).verdict == "consistent"
+        assert check_simplicial_helly(g, certified=True).verdict == "consistent"
         exact = check_generalized_twins(g, containment="exact", certified=True)
         assert exact.verdict in ("consistent", "not-applicable"), e.graph6
         superset = check_generalized_twins(

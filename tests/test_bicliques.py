@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from biclique_lab.bicliques import (
+    Biclique,
     _bicliques,
     biclique_graph,
     biclique_graph_with_limit,
@@ -18,10 +20,13 @@ from biclique_lab.graphs import (
     _bits,
     are_isomorphic,
     complete_graph,
+    cut_vertices,
     cycle_graph,
     enumerate_connected_graphs,
+    induced_subgraph,
     is_connected,
     path_graph,
+    write_graph6,
 )
 from biclique_lab.obstructions import induced_p3s
 from biclique_lab.patterns import DIAMOND
@@ -33,6 +38,31 @@ from strategies import connected_graphs
 def crown_graph(k: int) -> Graph:
     """K_{k,k} minus a perfect matching: 2^k - 2 bicliques on 2k vertices."""
     return Graph(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
+
+
+class TestValueTypes:
+    def test_side_a_holds_the_lowest_vertex(self):
+        b = Biclique(0b0111, 0b0110, 0b0001)
+        assert (b.side_a, b.side_b) == (0b0001, 0b0110)
+        same = Biclique(0b0111, 0b0001, 0b0110)
+        assert b == same and hash(b) == hash(same)
+
+    @pytest.mark.parametrize("sides", [(0b011, 0b011), (0b001, 0b000), (0b001, 0b110)])
+    def test_sides_must_partition_the_mask(self, sides):
+        with pytest.raises(GraphError, match="partition"):
+            Biclique(0b011, *sides)
+
+    def test_frozen(self):
+        family = enumerate_bicliques(path_graph(4))
+        for value, name in ((family[0], "side_a"), (family, "incidence")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+
+    def test_pickle_round_trip(self):
+        g = crown_graph(3)
+        family = enumerate_bicliques(g)
+        for value in (g, family[0], family):
+            assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestBipartitionTest:
@@ -212,6 +242,16 @@ class TestBicliqueGraph:
         for kb_of in (biclique_graph, lambda g: biclique_graph_with_limit(g, 30)):
             with pytest.raises(error, match=message):
                 kb_of(host)
+
+    def test_deleting_a_non_cut_vertex_never_adds_a_biclique(self):
+        # Lemma (a) behind the pruned preimage sweep: a connected induced
+        # subgraph has no more bicliques than its host.
+        for n in range(3, 8):
+            for g in enumerate_connected_graphs(n):
+                size = len(enumerate_bicliques(g))
+                for v in set(range(n)) - set(cut_vertices(g)):
+                    sub = induced_subgraph(g, [u for u in range(n) if u != v])
+                    assert len(enumerate_bicliques(sub)) <= size, (write_graph6(g), v)
 
     def test_limit_cuts_exactly_the_families_over_the_cap(self):
         for n in range(2, 8):

@@ -437,6 +437,29 @@ class TestWholeCommandErrors:
         assert code == EXIT_PARSE
         assert err.startswith(f"{fixture}:3: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("~?@B????", "multi-byte graph6 order headers (n > 62) are not supported"),
+            ("L" + "?" * 13, "canonical form supports n <= 12, got 13"),
+        ],
+    )
+    def test_fixture_line_beyond_the_size_bounds_fails_before_the_sweep(
+        self, line, message, tmp_path, capsys, monkeypatch
+    ):
+        from biclique_lab import cli
+
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the catalogue was built before --fixture was read")
+
+        monkeypatch.setattr(cli, "build_catalogue", no_sweep)
+        fixture = tmp_path / "ref.g6"
+        fixture.write_text(f"A_\n{line}\n")
+        code, out, err = self.catalogue(capsys, tmp_path / "cat", "--fixture", str(fixture))
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"{fixture}:2: {message}\n"
+        assert not (tmp_path / "cat").exists()
+
     def test_out_that_is_an_existing_file(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

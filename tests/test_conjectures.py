@@ -3,11 +3,12 @@ from hypothesis import given, settings
 
 from biclique_lab.bicliques import biclique_graph
 from biclique_lab.conjectures import (
+    _rotation_extension_cycle,
     check_generalized_twins,
     check_hamiltonian,
     check_simplicial_helly,
-    find_generalized_twins,
     hamiltonian_cycle,
+    iter_generalized_twins,
     non_helly_subfamily,
     simplicial_vertices,
 )
@@ -16,10 +17,11 @@ from biclique_lab.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
+    parse_graph6,
     path_graph,
 )
 from biclique_lab.obstructions import check_twin_k2
-from biclique_lab.patterns import CROWN, DIAMOND, GEM
+from biclique_lab.patterns import CROWN, DIAMOND, GEM, HAJOS
 
 from oracles import hamiltonian_oracle, non_helly_submask_oracle
 from strategies import connected_graphs
@@ -39,6 +41,18 @@ class TestSimplicialHelly:
         assert simplicial_vertices(cycle_graph(5)) == ()
         assert check_simplicial_helly(cycle_graph(5)).verdict == "consistent"
 
+    def test_hajos_counterexample_only_if_certified(self):
+        # The closed neighbourhoods of 3, 4 and 5 meet pairwise on the
+        # triangle 0, 1, 2, and all three on no vertex.
+        g = HAJOS.graph
+        assert simplicial_vertices(g) == (3, 4, 5)
+        assert non_helly_subfamily([g.adj[v] | 1 << v for v in (3, 4, 5)]) == (0, 1, 2)
+        plain = check_simplicial_helly(g)
+        assert (plain.verdict, plain.witness) == ("consistent", (3, 4, 5))
+        assert "not a certified" in plain.note
+        certified = check_simplicial_helly(g, certified=True)
+        assert (certified.verdict, certified.witness) == ("counterexample", (3, 4, 5))
+
     @settings(max_examples=50)
     @given(connected_graphs(max_order=6))
     def test_subfamily_search_matches_submask_oracle(self, g):
@@ -50,7 +64,7 @@ class TestSimplicialHelly:
 
 class TestGeneralizedTwins:
     def test_crown_structural_hit_but_not_counterexample(self):
-        witness = find_generalized_twins(CROWN.graph)
+        witness = next(iter_generalized_twins(CROWN.graph), None)
         assert witness is not None and witness["i"] == 2
         finding = check_generalized_twins(CROWN.graph, certified=False)
         assert finding.verdict == "consistent"
@@ -63,22 +77,16 @@ class TestGeneralizedTwins:
         assert check_generalized_twins(DIAMOND.graph).verdict == "not-applicable"
 
     def test_crown_also_hits_at_i3(self):
-        from biclique_lab.conjectures import iter_generalized_twins
-
         # the three pages share {0,1}, which extends to a triangle with any page
         sizes = {w["i"] for w in iter_generalized_twins(CROWN.graph, i_max=3)}
         assert sizes == {2, 3}
 
     @pytest.mark.parametrize("i_max", [1, 0, -3])
     def test_i_max_below_two_rejected(self, i_max):
-        from biclique_lab.conjectures import iter_generalized_twins
-
         with pytest.raises(ValueError, match="i_max"):
             next(iter_generalized_twins(CROWN.graph, i_max=i_max))
 
     def test_i2_with_k2_equality_matches_twin_check(self):
-        from biclique_lab.conjectures import iter_generalized_twins
-
         for n in range(2, 7):
             for g in enumerate_connected_graphs(n):
                 twin_result = check_twin_k2(g)
@@ -93,13 +101,13 @@ class TestGeneralizedTwins:
     def test_superset_reading_fires_at_least_as_often(self):
         for n in range(2, 6):
             for g in enumerate_connected_graphs(n):
-                exact = find_generalized_twins(g, containment="exact")
-                superset = find_generalized_twins(g, containment="superset")
+                exact = next(iter_generalized_twins(g, containment="exact"), None)
+                superset = next(iter_generalized_twins(g, containment="superset"), None)
                 if exact is not None:
                     assert superset is not None
 
     def test_witness_revalidates(self):
-        witness = find_generalized_twins(CROWN.graph)
+        witness = next(iter_generalized_twins(CROWN.graph), None)
         g = CROWN.graph
         vs = witness["vertices"]
         assert len(set(g.adj[v] for v in vs)) == 1
@@ -128,6 +136,16 @@ class TestHamiltonian:
         cycle = hamiltonian_cycle(g)
         assert sorted(cycle) == list(range(6))
         assert all(g.has_edge(cycle[k], cycle[(k + 1) % 6]) for k in range(6))
+
+    def test_exact_search_where_rotation_extension_gives_up(self):
+        # Rotation-extension closes a cycle in every Hamiltonian class
+        # representative up to order 7; here it gives up and backtracking decides.
+        g = parse_graph6(r"G@Q\eS")
+        assert _rotation_extension_cycle(g) is None
+        cycle = hamiltonian_cycle(g)
+        assert cycle == (0, 6, 2, 3, 5, 4, 1, 7)
+        assert all(g.has_edge(cycle[k - 1], cycle[k]) for k in range(g.n))
+        assert hamiltonian_oracle(g)
 
     def test_petersen_is_not_hamiltonian(self):
         g = Graph(

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from biclique_lab.graphs import (
     CapabilityError,
     Graph,
     GraphError,
+    _augmentations,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -31,6 +33,7 @@ from biclique_lab.recognition import (
     build_catalogue,
     compare_with_reference,
     load_catalogue,
+    load_reference_positives,
     positive_preimages,
     search_preimage,
     verify_entry,
@@ -336,10 +339,10 @@ class TestPersistence:
         entries = build_catalogue(3, 4)
         reference = tmp_path / "ref.g6"
         reference.write_text("# positives on up to 3 vertices\nA_\nBw\n")
-        comparison = compare_with_reference(entries, reference)
+        comparison = compare_with_reference(entries, load_reference_positives(reference))
         assert comparison.matches
         reference.write_text("A_\nBw\nBo\n")  # adds P3, which is not realisable
-        comparison = compare_with_reference(entries, reference)
+        comparison = compare_with_reference(entries, load_reference_positives(reference))
         assert comparison.missing and not comparison.extra
 
 
@@ -385,3 +388,16 @@ class TestDeterminism:
         assert next(hit for hit in sweep if len(hit[0]) == 7) in serial
         sweep.close()  # stops the pool; the queued tasks are cancelled
         assert multiprocessing.active_children() == []
+
+    def test_capped_parents_lose_no_hit(self, monkeypatch):
+        # The last stretch augments only the parents with at most orders[-1]
+        # bicliques; augmenting every parent gives the same hits in the same
+        # order, since no host has fewer bicliques than its parent.
+        monkeypatch.setattr(recognition, "MAX_GENERATION_ORDER", 6)
+        monkeypatch.setattr(recognition, "MAX_PREIMAGE_ORDER", 7)
+        hosts = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+        hosts += chain.from_iterable(map(_augmentations, enumerate_connected_graphs(6)))
+        for cap in range(2, 7):
+            orders = range(2, cap + 1)
+            unpruned = list(recognition._hits(hosts, orders, []))
+            assert list(recognition._swept(orders, 7, 1)) == unpruned
