@@ -47,18 +47,6 @@ class BicliqueDistanceReport:
         return self.d_kb == self.formula_value
 
 
-class DistanceFormulaViolation(AssertionError):
-    """Raised when some pair disagrees with the distance formula."""
-
-    def __init__(self, graph: Graph, report: BicliqueDistanceReport):
-        self.graph = graph
-        self.report = report
-        super().__init__(
-            f"distance formula violated for pair ({report.i},{report.j}): "
-            f"d_g={report.d_g} d_kb={report.d_kb} expected {report.formula_value}"
-        )
-
-
 def _meet(g: Graph, source: int, target: int) -> tuple[int, int]:
     """Multi-source BFS from the ``source`` mask, stopped at the first layer
     meeting ``target``: that layer's distance and its ``target`` vertices."""
@@ -122,7 +110,10 @@ def verify_distance_formula(g: Graph) -> list[BicliqueDistanceReport]:
     reports = distance_reports(g)
     for report in reports:
         if not report.holds:
-            raise DistanceFormulaViolation(g, report)
+            raise AssertionError(
+                f"distance formula violated for pair ({report.i},{report.j}): "
+                f"d_g={report.d_g} d_kb={report.d_kb} expected {report.formula_value}"
+            )
     return reports
 
 

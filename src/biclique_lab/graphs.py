@@ -272,10 +272,7 @@ def distance(g: Graph, u: int, v: int) -> int | float:
     """Shortest-path distance; 0 iff u == v, INFINITY across components."""
     g._check_vertex(u)
     g._check_vertex(v)
-    if u == v:
-        return 0
-    dist = distances_from(g, 1 << u)
-    return dist[v]
+    return distances_from(g, 1 << u)[v]
 
 
 def is_connected(g: Graph) -> bool:
@@ -468,4 +465,4 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
 
 
 def connected_graph_count(n: int) -> int:
-    return len(_connected_classes(n))
+    return sum(1 for _ in enumerate_connected_graphs(n))

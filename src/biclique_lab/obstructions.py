@@ -126,10 +126,6 @@ def _is_diamond(g: Graph) -> bool:
     return g.n == 4 and g.degree_sequence() == (2, 2, 3, 3) and g.edge_count() == 5
 
 
-def _is_k3(g: Graph) -> bool:
-    return g.n == 3 and g.edge_count() == 3
-
-
 def check_twin_k2(g: Graph) -> CheckResult:
     _require_connected(g)
     if _is_diamond(g):
@@ -152,11 +148,9 @@ def check_twin_k2(g: Graph) -> CheckResult:
     return _PASS
 
 
-def find_constrained_induced_embedding(
-    pattern: Graph, constrained: tuple[int, ...], host: Graph
-) -> tuple[int, ...] | None:
-    """An induced embedding of ``pattern`` into ``host`` where every vertex
-    in ``constrained`` maps onto a host vertex of degree exactly 2.
+def find_constrained_induced_embedding(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
+    """An induced embedding of ``pattern`` into ``host`` where every
+    degree-2 vertex of ``pattern`` maps onto a host vertex of degree exactly 2.
 
     Returns the image tuple (index-aligned with pattern vertices) or None.
     """
@@ -165,12 +159,11 @@ def find_constrained_induced_embedding(
         return None
     host_deg = [host.adj[v].bit_count() for v in range(n)]
     pat_deg = [pattern.adj[v].bit_count() for v in range(p)]
-    constrained_set = set(constrained)
     base = []
     for pv in range(p):
         mask = 0
         for hv in range(n):
-            if pv in constrained_set:
+            if pat_deg[pv] == 2:
                 ok = host_deg[hv] == 2
             else:
                 ok = host_deg[hv] >= pat_deg[pv]
@@ -225,7 +218,7 @@ def find_constrained_induced_embedding(
 def check_forbidden_subgraphs(g: Graph) -> CheckResult:
     _require_connected(g)
     for pattern in FORBIDDEN_PATTERNS:
-        image = find_constrained_induced_embedding(pattern.graph, pattern.constrained, g)
+        image = find_constrained_induced_embedding(pattern.graph, g)
         if image is not None:
             return CheckResult(
                 Verdict.FAIL,
@@ -237,7 +230,7 @@ def check_forbidden_subgraphs(g: Graph) -> CheckResult:
 
 def check_degree2_bound(g: Graph) -> CheckResult:
     _require_connected(g)
-    if _is_k3(g) or _is_diamond(g):
+    if (g.n == 3 and g.edge_count() == 3) or _is_diamond(g):
         return CheckResult(Verdict.NOT_APPLICABLE, note="K3 and the diamond are exempt")
     count = sum(1 for v in range(g.n) if g.adj[v].bit_count() == 2)
     note = f"{count} degree-2 vertices of {g.n}"

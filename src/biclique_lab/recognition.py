@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -57,9 +57,9 @@ UNKNOWN = "unknown-within-bound"
 #: The files of a catalogue directory, one per order.
 _CATALOGUE_FILES = "catalogue-n*.jsonl"
 
-#: (query order, max_h_order) -> (canonical KB -> first host adjacency read so
-#: far, the suspended sweep): where ``search_preimage`` resumes on a miss.
-_SWEEPS: dict[tuple[int, int], tuple[dict[str, tuple[int, ...]], Iterator[tuple]]] = {}
+#: (query order, max_h_order) -> (canonical KB -> first host read so far, the
+#: suspended sweep): where ``search_preimage`` resumes on a miss.
+_SWEEPS: dict[tuple[int, int], tuple[dict[str, Graph], Iterator[tuple[Graph, str]]]] = {}
 #: Held while a query reads or advances a suspended sweep: a generator
 #: advanced from two threads at once raises instead of yielding.
 _SWEEPS_LOCK = threading.RLock()
@@ -67,7 +67,11 @@ _SWEEPS_LOCK = threading.RLock()
 
 @dataclass(frozen=True)
 class CatalogueEntry:
-    """One isomorphism class of connected graphs, with checkable evidence."""
+    """One isomorphism class of connected graphs, with checkable evidence.
+
+    The fields are the keys of its JSON record, in the record's order after
+    ``schema``; an optional field is written only when it is set.
+    """
 
     graph6: str
     order: int
@@ -75,38 +79,20 @@ class CatalogueEntry:
     searched_max_h: int
     preimage_graph6: str | None = None
     obstruction: dict | None = None
-    check_verdicts: dict[str, str] | None = None
+    checks: dict[str, str] | None = None
 
     @property
     def graph(self) -> Graph:
         return parse_graph6(self.graph6)
 
     def to_json(self) -> dict:
-        data: dict = {
-            "schema": "catalogue-entry/1",
-            "graph6": self.graph6,
-            "order": self.order,
-            "classification": self.classification,
-            "searched_max_h": self.searched_max_h,
-        }
-        if self.preimage_graph6 is not None:
-            data["preimage_graph6"] = self.preimage_graph6
-        if self.obstruction is not None:
-            data["obstruction"] = self.obstruction
-        if self.check_verdicts is not None:
-            data["checks"] = self.check_verdicts
-        return data
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"schema": "catalogue-entry/1", **{k: v for k, v in data.items() if v is not None}}
 
     @classmethod
     def from_json(cls, data: dict) -> "CatalogueEntry":
         return cls(
-            graph6=data["graph6"],
-            order=data["order"],
-            classification=data["classification"],
-            searched_max_h=data["searched_max_h"],
-            preimage_graph6=data.get("preimage_graph6"),
-            obstruction=data.get("obstruction"),
-            check_verdicts=data.get("checks"),
+            **{f.name: data[f.name] if f.default is MISSING else data.get(f.name) for f in fields(cls)}
         )
 
 
@@ -146,35 +132,31 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
                 step = next(sweep, None)
                 if step is None:
                     return None
-                adj, key = step
-                first.setdefault(key, adj)
+                host, key = step
+                first.setdefault(key, host)
         except BaseException:
             _SWEEPS.pop(sweep_id, None)  # the sweep is closed now; the next miss starts again
             raise
-        adj = first[target]
-    return Graph._raw(len(adj), adj)
+        return first[target]
 
 
-def _hits(
-    hosts: Iterable[Graph], orders: range, capped: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], str]]:
-    """(adjacency, canonical KB) of each host whose KB has an order in orders;
-    the adjacency of each host with at most orders[-1] bicliques is appended
-    to ``capped``."""
+def _hits(hosts: Iterable[Graph], orders: range, capped: list[Graph]) -> Iterator[tuple[Graph, str]]:
+    """(host, canonical KB) of each host whose KB has an order in orders;
+    each host with at most orders[-1] bicliques is appended to ``capped``."""
     for host in hosts:
         kb, _ = biclique_graph_with_limit(host, orders[-1])
         if kb is not None:
-            capped.append(host.adj)
+            capped.append(host)
             if kb.n in orders:
-                yield host.adj, canonical_form(kb)
+                yield host, canonical_form(kb)
 
 
-def _parent_hits(orders: range, parent: tuple[int, ...]) -> list[tuple[tuple[int, ...], str]]:
-    """The hits among the augmentations of one parent adjacency: one task."""
-    return list(_hits(_augmentations(Graph._raw(len(parent), parent)), orders, []))
+def _parent_hits(orders: range, parent: Graph) -> list[tuple[Graph, str]]:
+    """The hits among the augmentations of one parent: one task."""
+    return list(_hits(_augmentations(parent), orders, []))
 
 
-def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[tuple[int, ...], str]]:
+def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Graph, str]]:
     """The preimage sweep: ``_hits`` of every host on 2..max_h_order
     vertices, in generation order.
 
@@ -189,7 +171,7 @@ def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[tupl
     serial reader may stop at any parent; their hits are read in parent order.
     """
     for n in range(2, min(max_h_order, MAX_GENERATION_ORDER) + 1):
-        capped: list[tuple[int, ...]] = []  # of order n; the last order's are the parents
+        capped: list[Graph] = []  # of order n; the last order's are the parents
         yield from _hits(enumerate_connected_graphs(n), orders, capped)
     if max_h_order < MAX_PREIMAGE_ORDER:
         return
@@ -220,8 +202,8 @@ def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> 
     if not 2 <= max_g_order <= MAX_CANONICAL_ORDER:
         raise CapabilityError(f"max_g_order must be in 2..{MAX_CANONICAL_ORDER}, got {max_g_order}")
     out: dict[str, Graph] = {}
-    for adj, key in _swept(range(2, max_g_order + 1), max_h_order, workers):
-        out.setdefault(key, Graph._raw(len(adj), adj))
+    for host, key in _swept(range(2, max_g_order + 1), max_h_order, workers):
+        out.setdefault(key, host)
     return out
 
 
@@ -270,15 +252,17 @@ def build_catalogue(
                     searched_max_h=max_h_order,
                     preimage_graph6=preimage,
                     obstruction=obstruction,
-                    check_verdicts=verdicts,
+                    checks=verdicts,
                 )
             )
     return entries
 
 
 def verify_entry(entry: CatalogueEntry) -> bool:
-    """Re-derive the entry's evidence from scratch."""
+    """Re-derive the entry's evidence from scratch, its order included."""
     g = entry.graph
+    if entry.order != g.n:
+        return False
     if entry.classification == BICLIQUE_GRAPH:
         if entry.preimage_graph6 is None:
             return False

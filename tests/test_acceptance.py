@@ -299,7 +299,7 @@ def test_criterion_5_crown_audit(catalogue68):
         (e.order, e.graph6)
         for e in catalogue68
         if e.classification == NOT_BICLIQUE_GRAPH
-        and e.check_verdicts["p3_diamond_gem"] == "pass"
+        and e.checks["p3_diamond_gem"] == "pass"
     )
     crown_key = canonical_form(CROWN.graph)
     assert (5, crown_key) in negatives_passing_p3
@@ -320,7 +320,7 @@ def test_criterion_5_crown_audit(catalogue68):
     # already fails the P3 cover test
     for e in catalogue68:
         if e.order <= 4 and e.classification == NOT_BICLIQUE_GRAPH:
-            assert e.check_verdicts["p3_diamond_gem"] == "fail"
+            assert e.checks["p3_diamond_gem"] == "fail"
 
 
 # -- criterion 6 -------------------------------------------------------------

@@ -291,26 +291,31 @@ class TestCatalogueCommand:
         assert (tmp_path / "cat" / "catalogue-n3.jsonl").exists()
 
     def test_fixture_mismatch_exit_code_and_naming(self, tmp_path, capsys):
+        # A listed class not built positive, then a built one not listed.
         fixture = tmp_path / "ref.g6"
-        fixture.write_text("A_\nBw\nBo\n")
-        code, out, err = run(
-            capsys,
-            [
-                "catalogue",
-                "--max-g-order",
-                "3",
-                "--max-h-order",
-                "4",
-                "--out",
-                str(tmp_path / "cat"),
-                "--fixture",
-                str(fixture),
-                "--workers",
-                "1",
-            ],
-        )
-        assert code == EXIT_FIXTURE
-        assert "missing-positive\t" + canonical_form(parse_graph6("Bo")) in out
+        for listed, line in [
+            ("A_\nBw\nBo\n", "missing-positive\t" + canonical_form(parse_graph6("Bo"))),
+            ("A_\n", "extra-positive\tBw"),
+        ]:
+            fixture.write_text(listed)
+            code, out, err = run(
+                capsys,
+                [
+                    "catalogue",
+                    "--max-g-order",
+                    "3",
+                    "--max-h-order",
+                    "4",
+                    "--out",
+                    str(tmp_path / "cat"),
+                    "--fixture",
+                    str(fixture),
+                    "--workers",
+                    "1",
+                ],
+            )
+            assert code == EXIT_FIXTURE
+            assert line in out
 
     def test_missing_fixture_warns(self, tmp_path, capsys):
         code, out, err = run(

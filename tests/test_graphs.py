@@ -249,3 +249,12 @@ class TestGeneration:
     def test_capability_bound(self):
         with pytest.raises(CapabilityError):
             list(enumerate_connected_graphs(9))
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_count_keeps_the_generation_bound(self, n, monkeypatch):
+        def generate(n):
+            raise AssertionError(f"generation started for n={n}")
+
+        monkeypatch.setattr(graphs_module, "_connected_classes", generate)
+        with pytest.raises(CapabilityError):
+            connected_graph_count(n)

@@ -29,6 +29,7 @@ from biclique_lab.patterns import CROWN, DIAMOND
 from biclique_lab.recognition import (
     BICLIQUE_GRAPH,
     NOT_BICLIQUE_GRAPH,
+    UNKNOWN,
     CatalogueEntry,
     build_catalogue,
     compare_with_reference,
@@ -312,6 +313,25 @@ class TestVerifyEntry:
         )
         assert not verify_entry(entry)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            # Bw is K3, so its graph6 header says 3 vertices, not 5.
+            CatalogueEntry("Bw", 5, BICLIQUE_GRAPH, 4, preimage_graph6="Bw"),
+            CatalogueEntry("Bw", 3, BICLIQUE_GRAPH, 4),
+            # KB(K3) is K3, but a search bounded by 2 vertices cannot have found it.
+            CatalogueEntry("Bw", 3, BICLIQUE_GRAPH, 2, preimage_graph6="Bw"),
+            CatalogueEntry(canonical_form(CROWN.graph), 5, NOT_BICLIQUE_GRAPH, 8),
+            CatalogueEntry(canonical_form(CROWN.graph), 5, UNKNOWN, 8),
+        ],
+        ids=["wrong-order", "no-preimage", "preimage-beyond-bound", "no-obstruction", "unknown-excluded"],
+    )
+    def test_entry_rejected(self, entry):
+        assert not verify_entry(entry)
+
+    def test_unknown_entry_passes_the_battery(self):
+        assert verify_entry(CatalogueEntry("Bw", 3, UNKNOWN, 4))
+
 
 class TestPersistence:
     def test_write_load_roundtrip(self, tmp_path):
@@ -382,10 +402,10 @@ class TestDeterminism:
         monkeypatch.setattr(recognition, "MAX_PREIMAGE_ORDER", 7)
         orders = range(2, 7)
         serial = list(recognition._swept(orders, 7, 1))
-        assert sum(len(adj) == 7 for adj, _ in serial) > 1000
+        assert sum(host.n == 7 for host, _ in serial) > 1000
         assert list(recognition._swept(orders, 7, 2)) == serial
         sweep = recognition._swept(orders, 7, 2)
-        assert next(hit for hit in sweep if len(hit[0]) == 7) in serial
+        assert next(hit for hit in sweep if hit[0].n == 7) in serial
         sweep.close()  # stops the pool; the queued tasks are cancelled
         assert multiprocessing.active_children() == []
 
