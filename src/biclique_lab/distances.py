@@ -11,6 +11,10 @@ at distance at most k-1 from both.  This module computes the per-pair
 reports, the witness sets, and the companion bicliques guaranteed for
 touching (distance-1) pairs.
 
+``distance_reports`` costs one ``biclique_distance`` BFS per pair, a count
+the benchmark's tracer test pins, and one BFS per vertex; closest pairs and
+witness counts are then read off bit masks.
+
 Convention: the report for a pair (i, i) would have d_kb = 0; the formula is
 only claimed for distinct bicliques, so reports cover i < j.
 """
@@ -18,7 +22,8 @@ only claimed for distinct bicliques, so reports cover i < j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 
 from .bicliques import BicliqueFamily, biclique_graph
 from .graphs import Graph, GraphError, _bits, _layers, distances_from
@@ -29,7 +34,9 @@ class BicliqueDistanceReport:
     """One unordered pair of distinct bicliques.
 
     ``formula_value`` is floor((d_g + 1)/2) + 1 and must equal ``d_kb``.
-    ``closest_pair`` is one (vertex in B_i, vertex in B_j) realising d_g.
+    ``closest_pair`` is the (u, v), u in B_i and v in B_j, realising d_g
+    with v the least vertex of B_j at distance d_g from B_i and u the least
+    vertex of B_i at distance d_g from v.
     ``witness_count`` is the size of the pair's witness set (see
     ``find_witnesses``), or None for an overlapping pair (d_g == 0).
     """
@@ -47,35 +54,29 @@ class BicliqueDistanceReport:
         return self.d_kb == self.formula_value
 
 
-def _meet(g: Graph, source: int, target: int) -> tuple[int, int]:
-    """Multi-source BFS from the ``source`` mask, stopped at the first layer
-    meeting ``target``: that layer's distance and its ``target`` vertices."""
-    for d, layer in enumerate(_layers(g, source)):
-        if hit := layer & target:
-            return d, hit
-    raise GraphError("bicliques lie in different components")
-
-
 def biclique_distance(g: Graph, family: BicliqueFamily, i: int, j: int) -> int:
-    """min over b in B_i, b' in B_j of the graph distance; 0 on overlap."""
+    """min over b in B_i, b' in B_j of the graph distance; 0 on overlap.
+
+    A multi-source BFS from B_i, stopped at the first layer meeting B_j.
+    """
     family.check_index(i)
     family.check_index(j)
-    return _meet(g, family[i].mask, family[j].mask)[0]
-
-
-def _closest_pair(g: Graph, source: int, target: int) -> tuple[int, int]:
-    """(u, v) realising the distance between two vertex sets: v is the least
-    ``target`` vertex nearest to ``source``, u the least ``source`` vertex
-    nearest to v."""
-    v = next(_bits(_meet(g, source, target)[1]))
-    return next(_bits(_meet(g, 1 << v, source)[1])), v
+    target = family[j].mask
+    for d, layer in enumerate(_layers(g, family[i].mask)):
+        if layer & target:
+            return d
+    raise GraphError("bicliques lie in different components")
 
 
 def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
     """One report per unordered pair of distinct bicliques of ``g``.
 
-    Every pair's biclique distance is computed once into an F x F matrix,
-    from which the witness counts are read.
+    Cost: one ``biclique_distance`` BFS per pair fills the F x F matrix of
+    biclique distances, and one BFS per vertex of ``g`` gives its balls.
+    Closest pairs are read off the balls and witness counts off masks of
+    the matrix rows, with no further search per pair.  The matrix is still
+    filled pair by pair because the benchmark's tracer test pins that call
+    count (15 for C6); one multi-source BFS per biclique would fill it too.
     """
     kb, family = biclique_graph(g)
     size = len(family)
@@ -83,14 +84,28 @@ def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
     d = [[0] * size for _ in range(size)]
     for i, j in combinations(range(size), 2):
         d[i][j] = d[j][i] = biclique_distance(g, family, i, j)
+    # balls[v][k]: the vertices within distance k of v.  A vertex of B_j is
+    # at least d_g from B_i, so its eccentricity is too and balls[v][d_g]
+    # exists; the first v whose ball meets B_i is the tie rule's v.
+    balls = [list(accumulate(_layers(g, 1 << v), or_)) for v in range(g.n)]
+    # nearer[i][k]: the bicliques at distance < k from B_i.  Neither end of
+    # a pair at distance d_g is nearer than d_g to the other, so the meet of
+    # two rows at d_g is exactly the pair's witness set.
+    depth = max(map(max, d), default=0)
+    nearer = []
+    for row in d:
+        at = [0] * (depth + 1)
+        for w, d_w in enumerate(row):
+            at[d_w] |= 1 << w
+        nearer.append([0, *accumulate(at, or_)])
+    masks = [b.mask for b in family]
+    members = [b.vertices for b in family]
     reports = []
     for i, j in combinations(range(size), 2):
         d_g = d[i][j]
-        witness_count = None
-        if d_g > 0:
-            witness_count = sum(
-                1 for w in range(size) if w not in (i, j) and d[w][i] < d_g and d[w][j] < d_g
-            )
+        for v in members[j]:
+            if hit := balls[v][d_g] & masks[i]:
+                break
         reports.append(
             BicliqueDistanceReport(
                 i=i,
@@ -98,8 +113,8 @@ def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
                 d_g=d_g,
                 d_kb=int(kb_dist[i][j]),
                 formula_value=(d_g + 1) // 2 + 1,
-                closest_pair=_closest_pair(g, family[i].mask, family[j].mask),
-                witness_count=witness_count,
+                closest_pair=((hit & -hit).bit_length() - 1, v),
+                witness_count=(nearer[i][d_g] & nearer[j][d_g]).bit_count() if d_g else None,
             )
         )
     return reports

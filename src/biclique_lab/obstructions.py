@@ -101,11 +101,20 @@ def _gem_wings(g: Graph, u: int, v: int, w: int):
 
 
 def check_p3_diamond_gem(g: Graph) -> CheckResult:
+    """The first induced P3 u-v-w, in ``induced_p3s`` order, with no common
+    neighbour of all three (no diamond) and no gem wings fails the check."""
     _require_connected(g)
-    for u, v, w in induced_p3s(g):
-        if p3_in_diamond(g, u, v, w) or any(_gem_wings(g, u, v, w)):
-            continue
-        return CheckResult(Verdict.FAIL, witness=(u, v, w), note="induced P3 in no diamond or gem")
+    adj = g.adj
+    for v in range(g.n):
+        nb = adj[v]
+        for u in _bits(nb):
+            common = adj[u] & nb
+            for w in _bits(nb >> (u + 1) << (u + 1) & ~adj[u]):
+                if adj[w] & common or any(_gem_wings(g, u, v, w)):
+                    continue
+                return CheckResult(
+                    Verdict.FAIL, witness=(u, v, w), note="induced P3 in no diamond or gem"
+                )
     return _PASS
 
 
@@ -300,8 +309,9 @@ def check_gem_wing(g: Graph) -> CheckResult:
     for v2 in range(g.n):
         nb = adj[v2]
         for v1 in _bits(nb):
-            for v3 in _bits(nb & ~adj[v1]):
-                if v3 == v1 or p3_in_diamond(g, v1, v2, v3):
+            common = adj[v1] & nb
+            for v3 in _bits(nb & ~adj[v1] & ~(1 << v1)):
+                if adj[v3] & common:
                     continue
                 witness = None
                 for v4, v5 in _gem_wings(g, v1, v2, v3):

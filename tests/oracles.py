@@ -160,6 +160,116 @@ def biclique_distance_oracle(g: Graph, family, i: int, j: int) -> int:
     )
 
 
+def _all_pairs_distances(g: Graph) -> list[list[float]]:
+    """Floyd-Warshall over ``has_edge``: every vertex distance, inf across
+    components."""
+    n = g.n
+    dist = [
+        [0 if a == b else 1 if g.has_edge(a, b) else float("inf") for b in range(n)]
+        for a in range(n)
+    ]
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                dist[a][b] = min(dist[a][b], dist[a][k] + dist[k][b])
+    return dist
+
+
+def _bfs_distances(neighbours: list[set[int]], source: int) -> list[float]:
+    """Plain queue BFS over adjacency sets."""
+    dist = [float("inf")] * len(neighbours)
+    dist[source] = 0
+    queue = [source]
+    for a in queue:
+        for b in neighbours[a]:
+            if dist[b] == float("inf"):
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    return dist
+
+
+def distance_reports_oracle(
+    g: Graph, bicliques: list[tuple[int, ...]] | None = None
+) -> list[tuple]:
+    """(i, j, d_g, d_kb, formula_value, closest_pair, witness_count) per pair
+    i < j of bicliques, each field from its definition.
+
+    ``bicliques`` defaults to ``bicliques_oracle(g)``; its subset scan grows
+    as 3^n, so hosts past order 9 pass a family checked elsewhere.  d_g is
+    the least vertex distance over the pair; v is the least vertex of B_j
+    at d_g from B_i and u the least vertex of B_i at d_g from v; d_kb is a
+    BFS distance in the intersection graph; the witness count counts the
+    other bicliques within d_g - 1 of both (None for an overlapping pair).
+    """
+    family = sorted(bicliques_oracle(g) if bicliques is None else bicliques)
+    dist = _all_pairs_distances(g)
+
+    def set_distance(side_a, side_b):
+        return min(dist[a][b] for a in side_a for b in side_b)
+
+    size = len(family)
+    neighbours = [
+        {b for b in range(size) if b != a and set(family[a]) & set(family[b])}
+        for a in range(size)
+    ]
+    kb_dist = [_bfs_distances(neighbours, a) for a in range(size)]
+    reports = []
+    for i, j in combinations(range(size), 2):
+        side_i, side_j = family[i], family[j]
+        d_g = set_distance(side_i, side_j)
+        v = min(v for v in side_j if set_distance(side_i, (v,)) == d_g)
+        u = min(u for u in side_i if dist[u][v] == d_g)
+        witnesses = None
+        if d_g > 0:
+            witnesses = sum(
+                1
+                for w in range(size)
+                if w not in (i, j)
+                and set_distance(family[w], side_i) <= d_g - 1
+                and set_distance(family[w], side_j) <= d_g - 1
+            )
+        reports.append((i, j, d_g, kb_dist[i][j], (d_g + 1) // 2 + 1, (u, v), witnesses))
+    return reports
+
+
+def _induces(g: Graph, vertices: tuple[int, ...], edges: set[tuple[int, int]]) -> bool:
+    """Does position pair (a, b), a < b, carry an edge exactly when it is in
+    ``edges``?"""
+    return all(
+        g.has_edge(vertices[a], vertices[b]) == ((a, b) in edges)
+        for a, b in combinations(range(len(vertices)), 2)
+    )
+
+
+#: The gem as P4 0-1-2-3 plus hub 4.
+_GEM_EDGES = {(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)}
+
+
+def p3_diamond_gem_oracle(g: Graph) -> tuple[int, int, int] | None:
+    """The first induced P3 u-v-w (by v, then u, then w > u) lying in no
+    induced diamond and in no induced gem whose P4 ends are u and w with hub
+    v, both tested on every 4- and 5-vertex superset; None if there is none."""
+    n = g.n
+    for v in range(n):
+        for u in range(n):
+            for w in range(u + 1, n):
+                if not (g.has_edge(u, v) and g.has_edge(v, w)) or g.has_edge(u, w):
+                    continue
+                others = [x for x in range(n) if x not in (u, v, w)]
+                # K4 minus an edge, the diamond: five of the six pairs
+                in_diamond = any(
+                    sum(g.has_edge(a, b) for a, b in combinations((u, v, w, x), 2)) == 5
+                    for x in others
+                )
+                in_gem = any(
+                    _induces(g, (u, z1, z2, w, v), _GEM_EDGES)
+                    for z1, z2 in permutations(others, 2)
+                )
+                if not (in_diamond or in_gem):
+                    return u, v, w
+    return None
+
+
 def subgraph_embedding_exists(small: Graph, big: Graph) -> bool:
     """Injective vertex map carrying every edge of ``small`` to an edge of
     ``big`` (not necessarily induced)."""

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,9 +12,16 @@ from biclique_lab.distances import (
     link_companions,
     verify_distance_formula,
 )
-from biclique_lab.graphs import GraphError, enumerate_connected_graphs, path_graph
+from biclique_lab.graphs import (
+    Graph,
+    GraphError,
+    cycle_graph,
+    enumerate_connected_graphs,
+    is_connected,
+    path_graph,
+)
 
-from oracles import biclique_distance_oracle
+from oracles import biclique_distance_oracle, distance_reports_oracle
 from strategies import connected_graphs
 
 
@@ -102,6 +112,44 @@ class TestDistanceFormula:
                     v = min(v for v in side_j if to_side_i(v) == d_g)
                     u = min(u for u in side_i if vertex_distance(g, u, v) == d_g)
                     assert r.closest_pair == (u, v), (g, r.i, r.j)
+
+    @staticmethod
+    def _rows(g):
+        return [
+            (r.i, r.j, r.d_g, r.d_kb, r.formula_value, r.closest_pair, r.witness_count)
+            for r in distance_reports(g)
+        ]
+
+    def test_reports_match_the_literal_oracle_to_order_6(self):
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                assert self._rows(g) == distance_reports_oracle(g), g
+
+    def test_reports_match_the_literal_oracle_past_diameter_4(self):
+        # Connected classes to order 7 never reach d_g = 5; cycles, grids
+        # and sparse random hosts do.  Their families come from the library,
+        # since the oracle's own subset scan grows as 3^n.
+        hosts = [cycle_graph(n) for n in range(7, 17)]
+        for rows, cols in ((3, 3), (2, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5), (4, 4)):
+            n = rows * cols
+            across = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+            down = [(v, v + cols) for v in range(n - cols)]
+            hosts.append(Graph(n, across + down))
+        rng = random.Random(20)
+        sparse = []
+        while len(sparse) < 20:
+            n = rng.randint(10, 13)
+            g = Graph(n, rng.sample(list(combinations(range(n), 2)), round(0.25 * n * (n - 1) / 2)))
+            if is_connected(g):
+                sparse.append(g)
+        hosts += sparse
+        depth = 0
+        for g in hosts:
+            family = [b.vertices for b in enumerate_bicliques(g)]
+            rows = self._rows(g)
+            assert rows == distance_reports_oracle(g, family), g
+            depth = max(depth, *(row[2] for row in rows))
+        assert depth > 4
 
     def test_small_corpus_exact(self):
         for n in range(2, 6):

@@ -38,7 +38,7 @@ from biclique_lab.patterns import (
     X1,
 )
 
-from oracles import non_helly_submask_oracle
+from oracles import non_helly_submask_oracle, p3_diamond_gem_oracle
 from strategies import connected_graphs
 
 
@@ -60,6 +60,14 @@ class TestP3DiamondGem:
     def test_rejects_disconnected(self):
         with pytest.raises(GraphError):
             check_p3_diamond_gem(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_matches_the_literal_oracle_to_order_7(self):
+        for n in range(2, 8):
+            for g in enumerate_connected_graphs(n):
+                witness = p3_diamond_gem_oracle(g)
+                expected = (Verdict.PASS, None) if witness is None else (Verdict.FAIL, witness)
+                result = check_p3_diamond_gem(g)
+                assert (result.verdict, result.witness) == expected, g
 
 
 class TestBiconnectivity:
