@@ -3,10 +3,9 @@
 
 Runs the library's exhaustive preimage sweep over every connected host on
 up to 9 vertices, ``positive_preimages(6, 9)``, with one worker process per
-CPU for the hosts on 9 vertices (15-20 seconds on 2 CPUs; the serial
-sweep, ``biclique-lab catalogue --max-h-order 9 --workers 1``, takes about
-25 seconds), and writes
-two files into the fixtures directory:
+CPU for the hosts on 9 vertices (5-6 seconds on 2 CPUs; the serial
+sweep, ``biclique-lab catalogue --max-h-order 9 --workers 1``, takes 6-8
+seconds), and writes two files into the fixtures directory:
 
 * ``biclique_graphs_up_to_6.g6``: one canonical graph6 per line, after a
   ``#`` header that records how the file was made;

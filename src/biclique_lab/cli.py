@@ -17,7 +17,7 @@ and exposes the library as composable subcommands:
 Only ``catalogue`` runs worker processes, and only for the hosts on 9
 vertices (``--max-h-order 9``): ``--workers N`` (N >= 1, default the CPU
 count) sizes that pool, and N = 1 walks them in-process.  At bounds 6/9 the
-whole command takes 15-20 s on 2 workers and about 25 s on one (2 vCPU).
+whole command takes 5-6 s on 2 workers and 6-8 s on one (2 vCPU).
 
 Exit codes: 0 clean; 1 parse/input errors; 2 capability errors (size bounds,
 for every per-graph command and for ``catalogue``); 3 reference-fixture

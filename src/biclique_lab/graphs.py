@@ -13,13 +13,14 @@ Provided here:
 * BFS distances, connectivity and 2-connectivity,
 * an exact canonical form (lexicographically least graph6 string over all
   relabelings, computed by a pruned search over ordered vertex partitions),
-* exhaustive generation of connected graphs up to isomorphism, with
-  augmentations filtered by canonical deletion before the canonical search.
+* exhaustive generation of connected graphs up to isomorphism: one
+  augmentation mask per orbit of the parent's automorphisms, filtered by
+  canonical deletion before the canonical search.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -397,43 +398,141 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # exhaustive generation
 
 
-def _augmentations(parent: Graph) -> Iterator[Graph]:
-    """``parent`` plus one new vertex, once per nonempty neighbourhood.
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Permutations p, vertex v going to p[v], that generate Aut(g).
+
+    They are the twin transpositions, each vertex with its least twin, and
+    the leaves of a search that places vertices at positions 0, 1, ... so
+    that they reproduce g's own columns: a leaf places p[k] at position k,
+    so p is an automorphism.  The first leaf, the identity, is dropped.
+    Like the canonical search, this one tries one vertex of each twin class
+    at a node: if w is a twin of a tried v, the transposition (v w) fixes
+    the placed prefix and maps every ordering that places w next to one
+    that places v, so together the two kinds of generator reach every
+    automorphism.
+    """
+    n, adj = g.n, g.adj
+    identity = tuple(range(n))
+    generators = []
+    for v in range(n):
+        for u in range(v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                swap = list(identity)
+                swap[u], swap[v] = v, u
+                generators.append(tuple(swap))
+                break
+
+    def place(order: list[int], columns: list[int], left: int) -> None:
+        k = len(order)
+        if k == n:
+            if tuple(order) != identity:
+                generators.append(tuple(order))
+            return
+        want = adj[k] & ((1 << k) - 1)  # column k, bit i for position i
+        degree = adj[k].bit_count()
+        tried: set[int] = set()
+        for v in _bits(left):
+            near = adj[v]
+            closed = near | 1 << v
+            if columns[v] != want or near.bit_count() != degree or near in tried or closed in tried:
+                continue
+            tried.update((near, closed))
+            placed = columns.copy()
+            for u in _bits(near):
+                placed[u] |= 1 << k
+            place(order + [v], placed, left ^ 1 << v)
+
+    place([], [0] * n, g.vertex_mask())
+    return generators
+
+
+def _augmentations(parent: Graph) -> Iterator[int]:
+    """The neighbourhoods of a new vertex joined to ``parent``: one nonempty
+    mask per orbit of Aut(parent), the least of its orbit, in increasing order.
 
     Every connected graph on n vertices is some connected graph on n-1
     vertices plus one vertex joined to a nonempty neighbourhood (delete any
-    non-cut vertex to see this), so augmenting connected parents is complete.
+    non-cut vertex to see this), so augmenting connected parents is complete;
+    masks in one orbit give isomorphic children, so one mask each loses no
+    class, and a sweep reading the children in mask order meets each class
+    first at the same child.  The orbits are closed with one image table per
+    generator over the 2^n masks.
     """
+    size = 1 << parent.n
+    tables = []
+    for perm in _automorphism_generators(parent):
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(image)
+    seen = bytearray(size)
+    for mask in range(1, size):
+        if seen[mask]:
+            continue
+        yield mask
+        seen[mask] = 1
+        orbit = [mask]
+        while orbit:
+            m = orbit.pop()
+            for image in tables:
+                if not seen[image[m]]:
+                    seen[image[m]] = 1
+                    orbit.append(image[m])
+
+
+def _augmented(parent: Graph, mask: int) -> Graph:
+    """``parent`` plus a last vertex joined to the ``mask`` vertices."""
     n = parent.n
-    for mask in range(1, 1 << n):
-        adj = list(parent.adj) + [mask]
-        for u in _bits(mask):
-            adj[u] |= 1 << n
-        yield Graph._raw(n + 1, tuple(adj))
+    return Graph._raw(n + 1, (*(a | (mask >> u & 1) << n for u, a in enumerate(parent.adj)), mask))
 
 
-def _last_vertex_is_greatest(child: Graph) -> bool:
-    """Does the last vertex have the greatest invariant (degree, then the
-    sorted degrees of its neighbours) among the non-cut vertices?  Ties pass.
+def _components(g: Graph, within: int) -> list[int]:
+    """The vertex masks of the components of the subgraph induced on ``within``."""
+    parts = []
+    while within:
+        part = sum(_layers(g, within & -within, within))
+        parts.append(part)
+        within ^= part
+    return parts
+
+
+def _last_vertex_is_greatest(parent: Graph) -> Callable[[int], bool]:
+    """Canonical deletion as a test of the masks of ``parent``: does the
+    last vertex of the child have the greatest invariant (degree, then the
+    sorted degrees of its neighbours) among its non-cut vertices?  Ties pass.
 
     Canonical deletion (McKay 1998): delete a greatest non-cut vertex v of any
     connected graph; the class of what is left has a representative, and
     augmenting it by v's neighbourhood gives a copy whose last vertex passes.
     So augmentations that fail can be dropped without losing a class.
+
+    The child is never built: its degrees are the parent's plus the mask, and
+    a parent vertex u is non-cut in the child exactly when the mask minus u
+    meets every component of the parent minus u, components found once here.
     """
-    degrees = [mask.bit_count() for mask in child.adj]
+    adj = parent.adj
+    degrees = [m.bit_count() for m in adj]
+    full = parent.vertex_mask()
+    parts = [_components(parent, full ^ 1 << u) for u in range(parent.n)]
 
-    def invariant(v: int) -> tuple[int, list[int]]:
-        return degrees[v], sorted(degrees[u] for u in _bits(child.adj[v]))
+    def passes(mask: int) -> bool:
+        last = mask.bit_count()
+        child = [d + (mask >> u & 1) for u, d in enumerate(degrees)]
 
-    last = child.n - 1
-    top = invariant(last)
-    full = child.vertex_mask()
-    # The degree alone settles most vertices, before any sort.
-    return not any(
-        degrees[v] >= top[0] and invariant(v) > top and _connected_within(child, full ^ 1 << v)
-        for v in range(last)
-    )
+        def neighbour_degrees(u: int) -> list[int]:
+            return sorted([child[w] for w in _bits(adj[u])] + [last] * (mask >> u & 1))
+
+        top = (last, sorted(child[u] for u in _bits(mask)))
+        # The degree alone settles most vertices, before any sort.
+        return not any(
+            child[u] >= last
+            and (child[u], neighbour_degrees(u)) > top
+            and all(mask & part for part in parts[u])
+            for u in range(parent.n)
+        )
+
+    return passes
 
 
 @lru_cache(maxsize=None)
@@ -442,10 +541,11 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
         return (Graph(1),)
     seen: dict[str, Graph] = {}
     for parent in _connected_classes(n - 1):
-        for child in _augmentations(parent):
-            if not _last_vertex_is_greatest(child):
+        passes = _last_vertex_is_greatest(parent)
+        for mask in _augmentations(parent):
+            if not passes(mask):
                 continue
-            key = canonical_form(child)
+            key = canonical_form(_augmented(parent, mask))
             if key not in seen:
                 seen[key] = parse_graph6(key)
     return tuple(seen[key] for key in sorted(seen))

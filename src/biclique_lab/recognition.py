@@ -11,11 +11,29 @@ connected host H up to ``max_h_order`` once, in generation order, computes
 KB(H), and keeps the first host hitting each class of order <= ``max_g_order``.
 On the last host order only the augmentations of parents with at most that
 many bicliques are walked, which loses no hit: no connected induced
-subgraph has more bicliques than its host.
+subgraph has more bicliques than its host.  No host with false twins is a
+first hit, by lemma (b) below, so none gets a KB, bar the parents of that
+last order, which are all tested against the cap.
 Catalogue classes never hit are classified by the obstruction battery.
 ``search_preimage`` reads its sweep only as far as the queried class and
 suspends it there, so a process walks each (order, bound) sweep at most once.
 Positive and negative evidence is re-derivable: ``verify_entry`` recomputes it.
+
+Lemma (b).  Let u and v be false twins of a connected host H, that is
+N(u) = N(v), so u and v are not adjacent and H has at least 3 vertices.
+Then H - v is connected and KB(H - v) is isomorphic to KB(H).  So H is never
+the first hit of its class: deleting twins until none is left gives a
+false-twin-free host of lower order with the same KB, and the sweep walks
+every class of lower order first.  Proof: H - v is connected, since a path
+through v may go through u instead.  A biclique B of H that holds v holds u
+too, on v's side (u sees all of the other side and none of v's, so B + u is
+complete bipartite), and vice versa.  So B -> B - v maps the bicliques of H
+into those of H - v: if B - v were not maximal, v would extend whatever
+extends it, beside u.  It is one-to-one, as B holds v exactly when B - v
+holds u, and onto, since a biclique B' of H - v is one of H if it misses u
+(v would extend it only where u does) and is B' - v for B = B' + v if it
+holds u.  Two bicliques that meet at v also meet at u, so the map keeps
+which pairs meet.
 """
 
 from __future__ import annotations
@@ -35,6 +53,7 @@ from .graphs import (
     CapabilityError,
     Graph,
     _augmentations,
+    _augmented,
     _require_connected,
     canonical_form,
     enumerate_connected_graphs,
@@ -46,8 +65,8 @@ from .obstructions import CHECK_NAMES, classify
 
 #: Host orders above this are out of the supported exhaustive regime.  One
 #: augmentation beyond generation: every connected graph of this order within
-#: the biclique cap appears (possibly repeatedly), exhaustive over classes
-#: without materialising them.
+#: the biclique cap appears at least once, exhaustive over classes without
+#: materialising them.
 MAX_PREIMAGE_ORDER = MAX_GENERATION_ORDER + 1
 
 BICLIQUE_GRAPH = "biclique-graph"
@@ -140,20 +159,27 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
         return first[target]
 
 
-def _hits(hosts: Iterable[Graph], orders: range, capped: list[Graph]) -> Iterator[tuple[Graph, str]]:
-    """(host, canonical KB) of each host whose KB has an order in orders;
-    each host with at most orders[-1] bicliques is appended to ``capped``."""
+def _hits(
+    hosts: Iterable[Graph], orders: range, capped: list[Graph] | None = None
+) -> Iterator[tuple[Graph, str]]:
+    """(host, canonical KB) of each false-twin-free host whose KB has an
+    order in orders.  With ``capped``, every host is tested against the cap
+    and each with at most orders[-1] bicliques is appended to it."""
     for host in hosts:
+        twin_free = len(set(host.adj)) == host.n
+        if not twin_free and capped is None:
+            continue
         kb, _ = biclique_graph_with_limit(host, orders[-1])
         if kb is not None:
-            capped.append(host)
-            if kb.n in orders:
+            if capped is not None:
+                capped.append(host)
+            if twin_free and kb.n in orders:
                 yield host, canonical_form(kb)
 
 
 def _parent_hits(orders: range, parent: Graph) -> list[tuple[Graph, str]]:
     """The hits among the augmentations of one parent: one task."""
-    return list(_hits(_augmentations(parent), orders, []))
+    return list(_hits((_augmented(parent, mask) for mask in _augmentations(parent)), orders))
 
 
 def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Graph, str]]:
@@ -161,19 +187,24 @@ def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Grap
     vertices, in generation order.
 
     The hosts are the class representatives up to MAX_GENERATION_ORDER,
-    walked in-process, then every augmentation by one vertex of each
-    representative of that order with at most orders[-1] bicliques (which
-    covers all classes of MAX_PREIMAGE_ORDER within the cap, with
-    repetitions).  The pruning is exact: a host minus its last vertex is a
-    connected induced subgraph, which has no more bicliques than the host.
+    walked in-process, then the augmentations by one vertex of each
+    representative of that order with at most orders[-1] bicliques, one mask
+    per Aut(parent) orbit (which covers all classes of MAX_PREIMAGE_ORDER
+    within the cap).  False-twin hosts are skipped: none is a first hit
+    (lemma (b) above).  The pruning by the cap is exact: a host minus its
+    last vertex is a connected induced subgraph, which has no more bicliques
+    than the host.  Every parent is tested against the cap, false twins or
+    not, since a false-twin-free host may have a parent with false twins.
     The parents of the last stretch are mapped one task each, on a process
     pool with more than one worker and lazily in-process otherwise, so a
     serial reader may stop at any parent; their hits are read in parent order.
     """
+    capped: list[Graph] = []  # of order MAX_GENERATION_ORDER: the last stretch's parents
+    stretch = max_h_order == MAX_PREIMAGE_ORDER
     for n in range(2, min(max_h_order, MAX_GENERATION_ORDER) + 1):
-        capped: list[Graph] = []  # of order n; the last order's are the parents
-        yield from _hits(enumerate_connected_graphs(n), orders, capped)
-    if max_h_order < MAX_PREIMAGE_ORDER:
+        parents = capped if stretch and n == MAX_GENERATION_ORDER else None
+        yield from _hits(enumerate_connected_graphs(n), orders, parents)
+    if not stretch:
         return
     task = partial(_parent_hits, orders)
     if workers <= 1:

@@ -115,6 +115,15 @@ def connected_classes_oracle(n: int, canonical) -> set[str]:
     return classes
 
 
+def automorphisms_oracle(g: Graph) -> list[tuple[int, ...]]:
+    """Aut(g) by scanning every permutation p (vertex v goes to p[v]) and
+    keeping those that map every edge onto an edge."""
+    return [
+        p for p in permutations(range(g.n))
+        if all(g.has_edge(p[u], p[v]) for u, v in g.edges())
+    ]
+
+
 def augmented_classes_oracle(n: int, canonical) -> dict[str, Graph]:
     """Connected classes of order n as {key: a member}: every class of order
     n-1 (from this oracle, down to K1) plus one vertex joined to every

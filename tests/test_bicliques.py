@@ -14,11 +14,13 @@ from biclique_lab.bicliques import (
     is_induced_complete_bipartite,
 )
 from biclique_lab.graphs import (
+    MAX_CANONICAL_ORDER,
     CapabilityError,
     Graph,
     GraphError,
     _bits,
     are_isomorphic,
+    canonical_form,
     complete_graph,
     cut_vertices,
     cycle_graph,
@@ -252,6 +254,31 @@ class TestBicliqueGraph:
                 for v in set(range(n)) - set(cut_vertices(g)):
                     sub = induced_subgraph(g, [u for u in range(n) if u != v])
                     assert len(enumerate_bicliques(sub)) <= size, (write_graph6(g), v)
+
+    def test_deleting_a_false_twin_keeps_kb(self):
+        # Lemma (b) behind the sweep's false-twin filter: if N(u) = N(v),
+        # B -> B - v maps the bicliques of H one-to-one onto those of H - v
+        # and keeps which pairs meet, so KB(H - v) is KB(H).
+        compared = 0
+        for n in range(3, 8):
+            for g in enumerate_connected_graphs(n):
+                masks = [b.mask for b in enumerate_bicliques(g)]
+                for u, v in combinations(range(n), 2):
+                    if g.adj[u] != g.adj[v]:
+                        continue
+                    sub = induced_subgraph(g, [w for w in range(n) if w != v])
+                    # B - v relabelled as induced_subgraph does: the vertices above v move down one.
+                    image = [m & ((1 << v) - 1) | m >> (v + 1) << v for m in masks]
+                    family = sorted(b.mask for b in enumerate_bicliques(sub))
+                    assert sorted(image) == family, (write_graph6(g), v)
+                    for i, j in combinations(range(len(masks)), 2):
+                        assert bool(masks[i] & masks[j]) == bool(image[i] & image[j])
+                    # The two checks above are the isomorphism; canonical
+                    # form confirms it wherever it reaches.
+                    if len(masks) <= MAX_CANONICAL_ORDER:
+                        assert canonical_form(biclique_graph(sub)[0]) == canonical_form(biclique_graph(g)[0])
+                        compared += 1
+        assert compared > 0
 
     def test_limit_cuts_exactly_the_families_over_the_cap(self):
         for n in range(2, 8):

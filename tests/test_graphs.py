@@ -10,6 +10,7 @@ from biclique_lab.graphs import (
     CapabilityError,
     Graph,
     GraphError,
+    _augmentations,
     canonical_form,
     canonical_graph,
     complete_graph,
@@ -28,7 +29,12 @@ from biclique_lab.graphs import (
 )
 from biclique_lab.patterns import GEM, HAJOS
 
-from oracles import augmented_classes_oracle, canonical_oracle, connected_classes_oracle
+from oracles import (
+    augmented_classes_oracle,
+    automorphisms_oracle,
+    canonical_oracle,
+    connected_classes_oracle,
+)
 from strategies import connected_graphs, graphs
 
 
@@ -237,14 +243,26 @@ class TestGeneration:
 
     def test_canonical_deletion_saves_searches(self, monkeypatch):
         # Searching every augmentation of the 112 order-6 classes takes 7,056
-        # canonical searches for the 853 order-7 classes.
+        # canonical searches for the 853 order-7 classes; one mask per orbit
+        # of each parent's automorphisms, filtered by canonical deletion,
+        # takes 902.
         graphs_module._connected_classes(6)
         calls = []
         search = graphs_module.canonical_form
         monkeypatch.setattr(graphs_module, "canonical_form", lambda g: calls.append(g) or search(g))
         classes = graphs_module._connected_classes.__wrapped__(7)
         assert len(classes) == 853
-        assert len(calls) <= 2 * len(classes)
+        assert len(calls) == 902
+
+    def test_augmentations_are_the_least_mask_of_each_orbit(self):
+        for n in range(1, 7):
+            for parent in enumerate_connected_graphs(n):
+                group = automorphisms_oracle(parent)
+                least = {
+                    min(sum(1 << p[u] for u in range(n) if mask >> u & 1) for p in group)
+                    for mask in range(1, 1 << n)
+                }
+                assert list(_augmentations(parent)) == sorted(least), write_graph6(parent)
 
     def test_capability_bound(self):
         with pytest.raises(CapabilityError):

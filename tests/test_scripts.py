@@ -2,8 +2,8 @@
 user runs them.
 
 ``build_reference.py`` is not run here: its sweep over every connected host
-on up to 9 vertices takes 15-20 seconds on 2 CPUs, about 25 serially.  The CI
-workflow reruns it on one Python version and compares both files it writes
+on up to 9 vertices takes 5-6 seconds on 2 CPUs, 6-8 serially.  The CI
+workflow reruns it on both Python versions and compares both files it writes
 with the shipped fixtures byte for byte, and checks the serial sweep's
 certificates through ``biclique-lab catalogue --max-h-order 9 --workers 1``.
 """
