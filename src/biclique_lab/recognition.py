@@ -6,14 +6,18 @@ obstruction check.  Neither may be possible within the searched bound, in
 which case the entry stays unknown and records the bound, so catalogue
 claims are never stronger than the search actually performed.
 
-One sweep serves the catalogue and ``search_preimage``: it enumerates every
-connected host H up to ``max_h_order`` once, in generation order, computes
-KB(H), and keeps the first host hitting each class of order <= ``max_g_order``.
-On the last host order only the augmentations of parents with at most that
-many bicliques are walked, which loses no hit: no connected induced
-subgraph has more bicliques than its host.  No host with false twins is a
-first hit, by lemma (b) below, so none gets a KB, bar the parents of that
-last order, which are all tested against the cap.
+One sweep serves the catalogue and ``search_preimage``: it walks every
+connected host class H up to ``max_h_order`` once, computes KB(H), and keeps
+the first host hitting each class of order <= ``max_g_order``: the least
+order, then the least canonical form, except that on 9 vertices the first
+augmentation that hits, in parent and mask order, wins.  Only the classes
+below the last host order are generated; the last order is the
+augmentations of the parents one order below with at most ``max_g_order``
+bicliques, which loses no hit by lemma (a): no connected induced subgraph
+has more bicliques than its host.  Below bound 9 those augmentations also
+pass canonical deletion, which stays exact on capped parents.  No host with
+false twins is a first hit, by lemma (b) below, so none gets a KB, bar the
+parents of that last order, which are all tested against the cap.
 Catalogue classes never hit are classified by the obstruction battery.
 ``search_preimage`` reads its sweep only as far as the queried class and
 suspends it there, so a process walks each (order, bound) sweep at most once.
@@ -54,6 +58,7 @@ from .graphs import (
     Graph,
     _augmentations,
     _augmented,
+    _last_vertex_is_greatest,
     _require_connected,
     canonical_form,
     enumerate_connected_graphs,
@@ -131,11 +136,14 @@ def check_catalogue_bounds(max_g_order: int, max_h_order: int) -> None:
 
 
 def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
-    """First connected H (in generation order) with KB(H) isomorphic to g.
+    """The first connected H with KB(H) isomorphic to g: of least order,
+    then of least canonical form, or the first augmentation at bound 9.
 
     The sweep behind ``positive_preimages``, keying g's order only, read up
     to the first host hitting g's class: exhaustive over isomorphism classes
     up to ``max_h_order``, so None means no preimage exists within the bound.
+    Below bound 9 the hosts of the last order are all read before any of
+    them is returned, since their least host wins.
     The sweep is suspended there and every class it passed is remembered, so
     a later query of the same order and bound resumes it instead of starting
     again; the first host of each class is the same either way.
@@ -183,28 +191,52 @@ def _parent_hits(orders: range, parent: Graph) -> list[tuple[Graph, str]]:
 
 
 def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Graph, str]]:
-    """The preimage sweep: ``_hits`` of every host on 2..max_h_order
-    vertices, in generation order.
+    """The preimage sweep: ``_hits`` of every host class on 2..max_h_order
+    vertices, the first host of each KB class first.
 
-    The hosts are the class representatives up to MAX_GENERATION_ORDER,
-    walked in-process, then the augmentations by one vertex of each
-    representative of that order with at most orders[-1] bicliques, one mask
-    per Aut(parent) orbit (which covers all classes of MAX_PREIMAGE_ORDER
-    within the cap).  False-twin hosts are skipped: none is a first hit
-    (lemma (b) above).  The pruning by the cap is exact: a host minus its
-    last vertex is a connected induced subgraph, which has no more bicliques
-    than the host.  Every parent is tested against the cap, false twins or
-    not, since a false-twin-free host may have a parent with false twins.
-    The parents of the last stretch are mapped one task each, on a process
-    pool with more than one worker and lazily in-process otherwise, so a
-    serial reader may stop at any parent; their hits are read in parent order.
+    The hosts below max_h_order are the class representatives, walked
+    in-process in generation order; those of order max_h_order - 1 are the
+    parents of the last order, and each with at most orders[-1] bicliques is
+    kept.  Only these capped parents are augmented by one vertex, one mask
+    per Aut(parent) orbit.  The pruning by the cap is exact: a host minus
+    its last vertex is a connected induced subgraph, which has no more
+    bicliques than the host.  Every parent is tested against the cap, false
+    twins or not, since a false-twin-free host may have a parent with false
+    twins.  False-twin hosts get no KB: none is a first hit (lemma (b) above).
+
+    Up to MAX_GENERATION_ORDER a mask is also kept only if the child's last
+    vertex is a greatest non-cut vertex (``_last_vertex_is_greatest``).
+    That filter stays exact on capped parents: deleting a greatest non-cut
+    vertex from a capped class leaves a connected induced subgraph, capped
+    too, so its representative is among the parents and one of its
+    augmentations passes.  Each KB class not hit below the last order gets
+    its least canonical host there, and these are yielded in canonical
+    order: what walking the representatives of the last order would yield
+    first for each class.  At MAX_PREIMAGE_ORDER every orbit mask is a host
+    and the first augmentation wins: the parents are mapped one task each,
+    on a process pool with more than one worker and lazily in-process
+    otherwise, so a serial reader may stop at any parent; their hits are
+    read in parent order.  At bound 2 order 2 is walked as classes, since K1
+    has no KB.
     """
-    capped: list[Graph] = []  # of order MAX_GENERATION_ORDER: the last stretch's parents
-    stretch = max_h_order == MAX_PREIMAGE_ORDER
-    for n in range(2, min(max_h_order, MAX_GENERATION_ORDER) + 1):
-        parents = capped if stretch and n == MAX_GENERATION_ORDER else None
-        yield from _hits(enumerate_connected_graphs(n), orders, parents)
-    if not stretch:
+    capped: list[Graph] = []  # of order max_h_order - 1: the last order's parents
+    yielded: set[str] = set()
+    for n in range(2, max(max_h_order - 1, 2) + 1):
+        parents = capped if n == max_h_order - 1 else None
+        for host, key in _hits(enumerate_connected_graphs(n), orders, parents):
+            yielded.add(key)
+            yield host, key
+    if max_h_order < MAX_PREIMAGE_ORDER:
+        least: dict[str, str] = {}  # KB class first hit at the last order -> its least host
+        for parent in capped:
+            passes = _last_vertex_is_greatest(parent)
+            children = (_augmented(parent, mask) for mask in _augmentations(parent) if passes(mask))
+            for host, key in _hits(children, orders):
+                if key not in yielded:
+                    form = canonical_form(host)
+                    least[key] = min(form, least.get(key, form))
+        for form, key in sorted((form, key) for key, form in least.items()):
+            yield parse_graph6(form), key
         return
     task = partial(_parent_hits, orders)
     if workers <= 1:
@@ -224,10 +256,11 @@ def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Grap
 def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> dict[str, Graph]:
     """canonical form of KB(H) -> first H realising it, over all connected H.
 
-    Covers every class with 2 <= |KB(H)| <= max_g_order.  The sweep is read
-    in generation order, so the first host wins whatever the scheduling.
-    It generates no class, so max_g_order may pass max_h_order and
-    MAX_GENERATION_ORDER: each KB hit is keyed by its canonical form.
+    Covers every class with 2 <= |KB(H)| <= max_g_order.  The sweep yields
+    the first host of each class (``search_preimage`` says which) before any
+    other, so it wins whatever the scheduling.  It generates no KB class, so
+    max_g_order may pass max_h_order and MAX_GENERATION_ORDER: each KB hit is
+    keyed by its canonical form.
     """
     _check_host_bound(max_h_order)
     if not 2 <= max_g_order <= MAX_CANONICAL_ORDER:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from biclique_lab.graphs import Graph, is_connected
+from biclique_lab.bicliques import biclique_graph
+from biclique_lab.graphs import Graph, canonical_form, enumerate_connected_graphs, is_connected
 
 
 def is_complete_bipartite_literal(g: Graph, vertices: tuple[int, ...]) -> bool:
@@ -308,3 +309,19 @@ def subgraph_embedding_exists(small: Graph, big: Graph) -> bool:
         return False
 
     return extend(0, 0)
+
+
+def first_preimages_oracle(max_g: int, max_h: int) -> dict[str, Graph]:
+    """The preimage sweep from its definition: every connected class on
+    2..max_h vertices in generation order (by order, then canonical form),
+    its full KB with no biclique cap and no twin pruning, and the first host
+    of each KB class on 1..max_g vertices, keyed by canonical form.  It
+    shares generation, KB and canonical form with the library, each checked
+    against its own oracle, but none of the sweep's pruning."""
+    first: dict[str, Graph] = {}
+    for n in range(2, max_h + 1):
+        for host in enumerate_connected_graphs(n):
+            kb, _ = biclique_graph(host)
+            if 1 <= kb.n <= max_g:
+                first.setdefault(canonical_form(kb), host)
+    return first

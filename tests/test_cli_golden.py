@@ -14,7 +14,9 @@ sides, generation) were folded into one implementation each.
 The catalogue on 2..6 vertices with hosts up to 7 vertices (its JSONL bytes)
 and the ``conjectures`` scans over it under both containment readings (exit
 code and stdout) were recorded before the distance BFS, the gem wings, the
-conjecture verdicts and the host walk were folded.
+conjecture verdicts and the host walk were folded.  The catalogue with
+hosts up to 8 vertices, the CLI default, was recorded before its last host
+order was taken from capped parents instead of generated.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ ORDER_7_GOLDEN = {
 
 
 CATALOGUE_6_7_SHA256 = "28198b03fadfedcc37a90c383ce59f1811e079c8af777f8df3fab24c5d7f1188"
+CATALOGUE_6_8_SHA256 = "3e4955386d1936ea2a1d90b8f7c2d2d4d3273846da82322066828db131a07afa"
 
 CONJECTURES_GOLDEN = {
     "exact": (0, "98dae14b9c30fe9b5f0ed247bb467b3a23b84b0942c6b273e9ac825044d5e1d7"),
@@ -140,11 +143,21 @@ def catalogue_6_7(tmp_path_factory):
     return out
 
 
-def test_catalogue_jsonl_unchanged(catalogue_6_7):
-    paths = sorted(catalogue_6_7.glob("catalogue-n*.jsonl"))
+def _catalogue_digest(out) -> str:
+    paths = sorted(out.glob("catalogue-n*.jsonl"))
     assert [p.name for p in paths] == [f"catalogue-n{k}.jsonl" for k in range(2, 7)]
-    data = b"".join(p.read_bytes() for p in paths)
-    assert hashlib.sha256(data).hexdigest() == CATALOGUE_6_7_SHA256
+    return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+
+def test_catalogue_jsonl_unchanged(catalogue_6_7):
+    assert _catalogue_digest(catalogue_6_7) == CATALOGUE_6_7_SHA256
+
+
+def test_default_catalogue_jsonl_unchanged(tmp_path):
+    argv = ["catalogue", "--max-g-order", "6", "--max-h-order", "8", "--workers", "1"]
+    # exit 3: the default reference lists positives that need 9-vertex hosts
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert _catalogue_digest(tmp_path) == CATALOGUE_6_8_SHA256
 
 
 @pytest.mark.parametrize("containment", sorted(CONJECTURES_GOLDEN))

@@ -17,6 +17,7 @@ from biclique_lab.graphs import (
     GraphError,
     _augmentations,
     _augmented,
+    _last_vertex_is_greatest,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -40,6 +41,8 @@ from biclique_lab.recognition import (
     verify_entry,
     write_catalogue,
 )
+
+from oracles import first_preimages_oracle
 
 
 def _count_capped_kb(monkeypatch) -> list:
@@ -127,8 +130,23 @@ class TestResumedSweep:
         calls = _count_capped_kb(monkeypatch)
         assert search_preimage(complete_graph(3), 6) == complete_graph(3)
         assert search_preimage(path_graph(3), 6) is None
-        hosts = [g for n in range(2, 7) for g in enumerate_connected_graphs(n) if len(set(g.adj)) == n]
-        assert calls == hosts  # two queries, one walk: every false-twin-free host once, in order
+        resumed = calls.copy()
+        calls.clear()
+        recognition._SWEEPS.clear()
+        assert search_preimage(path_graph(3), 6) is None
+        assert resumed == calls  # two queries, one walk
+        # The walk: the false-twin-free classes on 2..4 vertices, every class
+        # on 5 (each tested against the cap, 3 bicliques), then the
+        # false-twin-free augmentations of the capped ones on 6 that pass
+        # canonical deletion.
+        capped = [p for p in enumerate_connected_graphs(5) if biclique_graph_with_limit(p, 3)[0] is not None]
+        children = [
+            _augmented(p, mask) for p in capped for mask in filter(_last_vertex_is_greatest(p), _augmentations(p))
+        ]
+        walk = [g for n in range(2, 5) for g in enumerate_connected_graphs(n) if _twin_free(g)]
+        walk += enumerate_connected_graphs(5)
+        walk += filter(_twin_free, children)
+        assert resumed == walk
 
     def test_query_after_a_miss_computes_no_kb(self, monkeypatch):
         calls = _count_capped_kb(monkeypatch)
@@ -195,6 +213,39 @@ class TestResumedSweep:
         assert errors == []
 
 
+class TestAgainstTheOracle:
+    """The sweep's pruning (the biclique cap, false twins, canonical deletion
+    on the last order) against ``first_preimages_oracle``, which has none."""
+
+    @pytest.mark.parametrize("max_g, max_h", [*((g, h) for h in range(2, 8) for g in range(2, h + 1)), (6, 8)])
+    def test_positive_preimages(self, max_g, max_h):
+        expected = first_preimages_oracle(max_g, max_h)
+        del expected["@"]  # K1 = KB(K2); the catalogue starts at order 2
+        assert positive_preimages(max_g, max_h) == expected
+
+    @pytest.mark.parametrize("max_h", range(2, 9))
+    def test_search_preimage(self, max_h):
+        expected = first_preimages_oracle(6, max_h)
+        for g in [Graph(1), *_relabelled_classes(random.Random(max_h))]:
+            assert search_preimage(g, max_h) == expected.get(canonical_form(g)), write_graph6(g)
+
+
+class TestLastOrder:
+    @pytest.mark.parametrize("max_h", [7, 8])
+    def test_is_never_generated(self, max_h, monkeypatch):
+        # The last host order comes from augmenting the capped classes one
+        # order below it, so generation stops there.
+        requested = []
+
+        def recording(n):
+            requested.append(n)
+            return enumerate_connected_graphs(n)
+
+        monkeypatch.setattr(recognition, "enumerate_connected_graphs", recording)
+        positive_preimages(6, max_h)
+        assert sorted(set(requested)) == list(range(2, max_h))
+
+
 def _relabelled_classes(rng: random.Random) -> list[Graph]:
     """A random relabelling of each connected class on 2..6 vertices, in a
     random order."""
@@ -206,6 +257,10 @@ def _relabelled_classes(rng: random.Random) -> list[Graph]:
             queries.append(permuted(g, perm))
     rng.shuffle(queries)
     return queries
+
+
+def _twin_free(g: Graph) -> bool:
+    return len(set(g.adj)) == g.n
 
 
 def _g6(host: Graph | None) -> str | None:
