@@ -3,14 +3,16 @@
 
 Runs the library's exhaustive preimage sweep over every connected host on
 up to 9 vertices, ``positive_preimages(6, 9)``, with one worker process per
-CPU for the hosts on 9 vertices (5-6 seconds on 2 CPUs; the serial
-sweep, ``biclique-lab catalogue --max-h-order 9 --workers 1``, takes 6-8
-seconds), and writes two files into the fixtures directory:
+CPU for the hosts on 9 vertices (about 5 seconds on 2 CPUs; the serial
+sweep, ``biclique-lab catalogue --max-h-order 9 --workers 1``, writes the
+same certificates in 4.5-6.5 seconds), and writes two files into the
+fixtures directory:
 
 * ``biclique_graphs_up_to_6.g6``: one canonical graph6 per line, after a
   ``#`` header that records how the file was made;
 * ``reference_preimages.jsonl``: one ``{"graph6", "preimage_graph6"}`` row
-  per listed graph, the first host in generation order realising it.
+  per listed graph, the host realising it of least order, then of least
+  canonical graph6.
 
 The list comes from this library, so it is not an independent source.  Its
 only independence is that acceptance criterion 5 re-verifies every

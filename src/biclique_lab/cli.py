@@ -16,14 +16,15 @@ and exposes the library as composable subcommands:
 
 Only ``catalogue`` runs worker processes, and only for the hosts on 9
 vertices (``--max-h-order 9``): ``--workers N`` (N >= 1, default the CPU
-count) sizes that pool, and N = 1 walks them in-process.  At bounds 6/9 the
-whole command takes 5-6 s on 2 workers and 6-8 s on one (2 vCPU).  At
-every bound the hosts on the bound's own order are augmentations of the
-classes one order below with at most --max-g-order bicliques (for
-``recognize``, the query's order); below 9 they also pass canonical
-deletion, so that order is never generated: ``catalogue`` at bounds 6/8
-takes about 0.5 s, and a ``recognize`` miss at the default bound 8 about
-0.3 s, each in a fresh process.
+count) sizes that pool, and N = 1 walks them in-process, with the same
+output.  At bounds 6/9 the whole command takes 4-5 s on 2 workers and
+4.5-6.5 s on one (2 vCPU).  At every bound the hosts on the bound's own
+order are augmentations of the classes one order below with at most
+--max-g-order bicliques (for ``recognize``, the query's order) that pass
+canonical deletion, so that order is never generated: ``catalogue`` at
+bounds 6/8 takes about 0.5 s, and a ``recognize`` miss at the default bound
+8 about 0.3 s, each in a fresh process.  Every preimage printed or written
+is the host of least order, then of least canonical graph6.
 
 Exit codes: 0 clean; 1 parse/input errors; 2 capability errors (size bounds,
 for every per-graph command and for ``catalogue``); 3 reference-fixture

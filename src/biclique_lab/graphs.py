@@ -535,20 +535,20 @@ def _last_vertex_is_greatest(parent: Graph) -> Callable[[int], bool]:
     return passes
 
 
+def _children(parent: Graph) -> Iterator[Graph]:
+    """The one-vertex augmentations of ``parent`` that generation tries: one
+    per orbit mask (``_augmentations``), in mask order, kept when the new
+    vertex passes canonical deletion (``_last_vertex_is_greatest``)."""
+    passes = _last_vertex_is_greatest(parent)
+    return (_augmented(parent, mask) for mask in _augmentations(parent) if passes(mask))
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
-    seen: dict[str, Graph] = {}
-    for parent in _connected_classes(n - 1):
-        passes = _last_vertex_is_greatest(parent)
-        for mask in _augmentations(parent):
-            if not passes(mask):
-                continue
-            key = canonical_form(_augmented(parent, mask))
-            if key not in seen:
-                seen[key] = parse_graph6(key)
-    return tuple(seen[key] for key in sorted(seen))
+    keys = {canonical_form(child) for parent in _connected_classes(n - 1) for child in _children(parent)}
+    return tuple(parse_graph6(key) for key in sorted(keys))
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:

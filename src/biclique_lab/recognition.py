@@ -9,14 +9,12 @@ claims are never stronger than the search actually performed.
 One sweep serves the catalogue and ``search_preimage``: it walks every
 connected host class H up to ``max_h_order`` once, computes KB(H), and keeps
 the first host hitting each class of order <= ``max_g_order``: the least
-order, then the least canonical form, except that on 9 vertices the first
-augmentation that hits, in parent and mask order, wins.  Only the classes
-below the last host order are generated; the last order is the
-augmentations of the parents one order below with at most ``max_g_order``
-bicliques, which loses no hit by lemma (a): no connected induced subgraph
-has more bicliques than its host.  Below bound 9 those augmentations also
-pass canonical deletion, which stays exact on capped parents.  No host with
-false twins is a first hit, by lemma (b) below, so none gets a KB, bar the
+order, then the least canonical graph6.  Only the classes below the last
+host order are generated; the last order is the children, augmentations
+that pass canonical deletion, of the parents one order below with at most
+``max_g_order`` bicliques, which loses no hit by lemma (a): no connected
+induced subgraph has more bicliques than its host.  No host with false
+twins is a first hit, by lemma (b) below, so none gets a KB, bar the
 parents of that last order, which are all tested against the cap.
 Catalogue classes never hit are classified by the obstruction battery.
 ``search_preimage`` reads its sweep only as far as the queried class and
@@ -56,9 +54,7 @@ from .graphs import (
     MAX_GENERATION_ORDER,
     CapabilityError,
     Graph,
-    _augmentations,
-    _augmented,
-    _last_vertex_is_greatest,
+    _children,
     _require_connected,
     canonical_form,
     enumerate_connected_graphs,
@@ -137,13 +133,13 @@ def check_catalogue_bounds(max_g_order: int, max_h_order: int) -> None:
 
 def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     """The first connected H with KB(H) isomorphic to g: of least order,
-    then of least canonical form, or the first augmentation at bound 9.
+    then of least canonical graph6.
 
     The sweep behind ``positive_preimages``, keying g's order only, read up
     to the first host hitting g's class: exhaustive over isomorphism classes
     up to ``max_h_order``, so None means no preimage exists within the bound.
-    Below bound 9 the hosts of the last order are all read before any of
-    them is returned, since their least host wins.
+    The hosts of the last order are all read before any of them is
+    returned, since their least host wins.
     The sweep is suspended there and every class it passed is remembered, so
     a later query of the same order and bound resumes it instead of starting
     again; the first host of each class is the same either way.
@@ -186,8 +182,8 @@ def _hits(
 
 
 def _parent_hits(orders: range, parent: Graph) -> list[tuple[Graph, str]]:
-    """The hits among the augmentations of one parent: one task."""
-    return list(_hits((_augmented(parent, mask) for mask in _augmentations(parent)), orders))
+    """The hits among the children of one parent: one task."""
+    return list(_hits(_children(parent), orders))
 
 
 def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Graph, str]]:
@@ -197,27 +193,23 @@ def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Grap
     The hosts below max_h_order are the class representatives, walked
     in-process in generation order; those of order max_h_order - 1 are the
     parents of the last order, and each with at most orders[-1] bicliques is
-    kept.  Only these capped parents are augmented by one vertex, one mask
-    per Aut(parent) orbit.  The pruning by the cap is exact: a host minus
-    its last vertex is a connected induced subgraph, which has no more
-    bicliques than the host.  Every parent is tested against the cap, false
-    twins or not, since a false-twin-free host may have a parent with false
-    twins.  False-twin hosts get no KB: none is a first hit (lemma (b) above).
+    kept.  Only these capped parents are augmented by one vertex, into the
+    children that generation tries (``_children``).  The pruning by the cap
+    is exact: a host minus its last vertex is a connected induced subgraph,
+    which has no more bicliques than the host.  So is canonical deletion on
+    capped parents: deleting a greatest non-cut vertex from a capped class
+    leaves a connected induced subgraph, capped too, so its representative
+    is among the parents and one of its children is a copy of the class.
+    Every parent is tested against the cap, false twins or not, since a
+    false-twin-free host may have a parent with false twins.  False-twin
+    hosts get no KB: none is a first hit (lemma (b) above).
 
-    Up to MAX_GENERATION_ORDER a mask is also kept only if the child's last
-    vertex is a greatest non-cut vertex (``_last_vertex_is_greatest``).
-    That filter stays exact on capped parents: deleting a greatest non-cut
-    vertex from a capped class leaves a connected induced subgraph, capped
-    too, so its representative is among the parents and one of its
-    augmentations passes.  Each KB class not hit below the last order gets
-    its least canonical host there, and these are yielded in canonical
-    order: what walking the representatives of the last order would yield
-    first for each class.  At MAX_PREIMAGE_ORDER every orbit mask is a host
-    and the first augmentation wins: the parents are mapped one task each,
-    on a process pool with more than one worker and lazily in-process
-    otherwise, so a serial reader may stop at any parent; their hits are
-    read in parent order.  At bound 2 order 2 is walked as classes, since K1
-    has no KB.
+    The parents are mapped one task each, on a process pool when more than
+    one worker is asked for at MAX_PREIMAGE_ORDER and in-process otherwise.
+    Each KB class not hit below the last order gets its least canonical host
+    there, and these are yielded in canonical order: what walking the
+    representatives of the last order would yield first for each class.  At
+    bound 2 order 2 is walked as classes, since K1 has no KB.
     """
     capped: list[Graph] = []  # of order max_h_order - 1: the last order's parents
     yielded: set[str] = set()
@@ -226,41 +218,35 @@ def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Grap
         for host, key in _hits(enumerate_connected_graphs(n), orders, parents):
             yielded.add(key)
             yield host, key
-    if max_h_order < MAX_PREIMAGE_ORDER:
-        least: dict[str, str] = {}  # KB class first hit at the last order -> its least host
-        for parent in capped:
-            passes = _last_vertex_is_greatest(parent)
-            children = (_augmented(parent, mask) for mask in _augmentations(parent) if passes(mask))
-            for host, key in _hits(children, orders):
-                if key not in yielded:
-                    form = canonical_form(host)
-                    least[key] = min(form, least.get(key, form))
-        for form, key in sorted((form, key) for key, form in least.items()):
-            yield parse_graph6(form), key
-        return
     task = partial(_parent_hits, orders)
-    if workers <= 1:
-        yield from chain.from_iterable(map(task, capped))
-        return
-    # Imported here, so a sweep that never reaches this stretch loads no pool modules.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    pool = None
+    if workers > 1 and max_h_order == MAX_PREIMAGE_ORDER:
+        # Imported here, so a sweep that starts no pool loads no pool modules.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+    least: dict[str, str] = {}  # KB class first hit at the last order -> its least host
     try:
-        yield from chain.from_iterable(pool.map(task, capped))
+        for host, key in chain.from_iterable((pool.map if pool else map)(task, capped)):
+            if key not in yielded:
+                form = canonical_form(host)
+                least[key] = min(form, least.get(key, form))
     finally:
-        pool.shutdown(cancel_futures=True)  # a reader that stops early waits for no queued task
+        if pool:
+            pool.shutdown(cancel_futures=True)  # an interrupted sweep waits for no queued task
+    for form, key in sorted((form, key) for key, form in least.items()):
+        yield parse_graph6(form), key
 
 
 def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> dict[str, Graph]:
-    """canonical form of KB(H) -> first H realising it, over all connected H.
+    """canonical form of KB(H) -> first H realising it, over all connected
+    H: of least order, then of least canonical graph6.
 
     Covers every class with 2 <= |KB(H)| <= max_g_order.  The sweep yields
-    the first host of each class (``search_preimage`` says which) before any
-    other, so it wins whatever the scheduling.  It generates no KB class, so
-    max_g_order may pass max_h_order and MAX_GENERATION_ORDER: each KB hit is
-    keyed by its canonical form.
+    the first host of each class before any other, on any number of
+    workers.  It generates no KB class, so max_g_order may pass max_h_order
+    and MAX_GENERATION_ORDER: each KB hit is keyed by its canonical form.
     """
     _check_host_bound(max_h_order)
     if not 2 <= max_g_order <= MAX_CANONICAL_ORDER:

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import random
@@ -22,6 +23,7 @@ from biclique_lab.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
+    parse_graph6,
     path_graph,
     permuted,
     write_graph6,
@@ -34,6 +36,7 @@ from biclique_lab.recognition import (
     CatalogueEntry,
     build_catalogue,
     compare_with_reference,
+    default_reference_path,
     load_catalogue,
     load_reference_positives,
     positive_preimages,
@@ -228,6 +231,17 @@ class TestAgainstTheOracle:
         expected = first_preimages_oracle(6, max_h)
         for g in [Graph(1), *_relabelled_classes(random.Random(max_h))]:
             assert search_preimage(g, max_h) == expected.get(canonical_form(g)), write_graph6(g)
+
+    def test_shipped_certificates_are_the_first_hosts(self):
+        # Every certificate is canonical, and up to 8 vertices it is the
+        # oracle's first host: the least order, then the least canonical graph6.
+        expected = first_preimages_oracle(6, 8)
+        path = default_reference_path().parent / "reference_preimages.jsonl"
+        for row in map(json.loads, path.read_text().splitlines()):
+            host = parse_graph6(row["preimage_graph6"])
+            assert row["preimage_graph6"] == canonical_form(host), row
+            if host.n <= 8:
+                assert host == expected[row["graph6"]], row
 
 
 class TestLastOrder:
@@ -450,29 +464,16 @@ class TestDeterminism:
         assert result.stdout.decode().strip() == "[]"
 
     def test_pool_stretch_agrees_with_the_in_process_walk(self, monkeypatch):
-        # The pool maps the parents of the last stretch only, one task each.
-        # With the generation bound at 6 that stretch is the capped classes
-        # on 6 vertices, augmented once per orbit: seconds, not minutes.
-        monkeypatch.setattr(recognition, "MAX_GENERATION_ORDER", 6)
+        # The pool maps the capped parents of the last order, one task each.
+        # With the pool's bound at 7 those are the capped classes on 6
+        # vertices: seconds, not minutes.
         monkeypatch.setattr(recognition, "MAX_PREIMAGE_ORDER", 7)
         orders = range(2, 7)
         serial = list(recognition._swept(orders, 7, 1))
-        assert sum(host.n == 7 for host, _ in serial) == 377
         assert list(recognition._swept(orders, 7, 2)) == serial
+        expected = {key: host for key, host in first_preimages_oracle(6, 7).items() if host.n == 7}
+        assert {key: host for host, key in serial if host.n == 7} == expected
         sweep = recognition._swept(orders, 7, 2)
         assert next(hit for hit in sweep if hit[0].n == 7) in serial
-        sweep.close()  # stops the pool; the queued tasks are cancelled
+        sweep.close()
         assert multiprocessing.active_children() == []
-
-    def test_capped_parents_lose_no_hit(self, monkeypatch):
-        # The last stretch augments only the parents with at most orders[-1]
-        # bicliques; augmenting every parent gives the same hits in the same
-        # order, since no host has fewer bicliques than its parent.
-        monkeypatch.setattr(recognition, "MAX_GENERATION_ORDER", 6)
-        monkeypatch.setattr(recognition, "MAX_PREIMAGE_ORDER", 7)
-        hosts = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
-        hosts += [_augmented(g, mask) for g in enumerate_connected_graphs(6) for mask in _augmentations(g)]
-        for cap in range(2, 7):
-            orders = range(2, cap + 1)
-            unpruned = list(recognition._hits(hosts, orders, []))
-            assert list(recognition._swept(orders, 7, 1)) == unpruned

@@ -2,10 +2,12 @@
 user runs them.
 
 ``build_reference.py`` is not run here: its sweep over every connected host
-on up to 9 vertices takes 5-6 seconds on 2 CPUs, 6-8 serially.  The CI
-workflow reruns it on both Python versions and compares both files it writes
-with the shipped fixtures byte for byte, and checks the serial sweep's
-certificates through ``biclique-lab catalogue --max-h-order 9 --workers 1``.
+on up to 9 vertices takes about 5 seconds on 2 CPUs, 4.5-6.5 serially.  The
+CI workflow reruns it on both Python versions and compares both files it
+writes with the shipped fixtures byte for byte, and checks the serial
+sweep's certificates, the hosts of least order, then of least canonical
+graph6, through ``biclique-lab catalogue --max-h-order 9 --workers 1``,
+whose output it pins by SHA-256.
 """
 
 from __future__ import annotations
