@@ -13,14 +13,16 @@ those cliques by Bron-Kerbosch with pivoting (Tomita, Tanaka & Takahashi
 2006), so its work follows the clique search tree instead of all 2^n vertex
 subsets.  Each biclique gives two such cliques, one per side order; the
 search is rooted at the lowest vertex on side 0, so it finds each biclique
-once.
+once.  The recursion collects into one list and can stop after a given
+number of bicliques, which is how the capped KB of the preimage sweep
+discards a host as soon as its family overshoots the cap.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 
 from .graphs import Graph, GraphError, CapabilityError, _bits, _require_connected
 
@@ -53,11 +55,11 @@ class Biclique:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
+        return _bits(self.mask)
 
     @property
     def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(_bits(self.side_a)), tuple(_bits(self.side_b))
+        return _bits(self.side_a), _bits(self.side_b)
 
     def __contains__(self, v: int) -> bool:
         return bool((self.mask >> v) & 1)
@@ -122,18 +124,22 @@ def is_induced_complete_bipartite(
     for v in _bits(mask):  # each vertex sees exactly the other side
         if g.adj[v] & mask != (side_a if side_b >> v & 1 else side_b):
             return None
-    return tuple(_bits(side_a)), tuple(_bits(side_b))
+    return _bits(side_a), _bits(side_b)
 
 
-def _bicliques(g: Graph) -> Iterator[tuple[int, int, int]]:
+def _bicliques(g: Graph, limit: int | None = None) -> list[tuple[int, int, int]]:
     """(mask, side_a, side_b) of every biclique, each exactly once, side_a
     holding the lowest vertex: the maximal cliques of the doubled graph, by
     Bron-Kerbosch with pivoting.  Doubled vertex v + s*n stands for (v, s).
     One search is rooted at (v, 0) for each vertex v, with the vertices
     above v as candidates and those below v as excluded (the outer-vertex
     loop of Eppstein, Loeffler & Strash 2010), so a biclique is found only
-    in the side order that puts its lowest vertex on side 0.  The first read
-    raises unless g is a connected host on 2..MAX_HOST_ORDER vertices."""
+    in the side order that puts its lowest vertex on side 0.
+
+    The recursion appends to one list and returns True to unwind once it
+    holds ``limit + 1`` bicliques, so a capped call returns the first
+    ``limit + 1`` in the order of the full list.  Raises unless g is a
+    connected host on 2..MAX_HOST_ORDER vertices."""
     if g.n < 2:
         raise GraphError("biclique enumeration needs at least 2 vertices")
     if g.n > MAX_HOST_ORDER:
@@ -144,13 +150,16 @@ def _bicliques(g: Graph) -> Iterator[tuple[int, int, int]]:
     same = [full & ~nbrs & ~(1 << v) for v, nbrs in enumerate(g.adj)]
     double = [s | nbrs << n for s, nbrs in zip(same, g.adj)]
     double += [nbrs | s << n for s, nbrs in zip(same, g.adj)]
+    found: list[tuple[int, int, int]] = []
+    stop = -1 if limit is None else limit + 1
 
-    def expand(clique: int, candidates: int, excluded: int):
+    def expand(clique: int, candidates: int, excluded: int) -> bool:
         if not candidates:
             if not excluded and clique >> n:
                 part0, part1 = clique & full, clique >> n
-                yield part0 | part1, part0, part1
-            return
+                found.append((part0 | part1, part0, part1))
+                return len(found) == stop
+            return False
         # Pivot: the first vertex of P | X with the most neighbours in P.
         best = -1
         for u in _bits(candidates | excluded):
@@ -158,13 +167,17 @@ def _bicliques(g: Graph) -> Iterator[tuple[int, int, int]]:
             if count > best:
                 best, pivot = count, u
         for u in _bits(candidates & ~double[pivot]):
-            yield from expand(clique | 1 << u, candidates & double[u], excluded & double[u])
+            if expand(clique | 1 << u, candidates & double[u], excluded & double[u]):
+                return True
             candidates ^= 1 << u
             excluded |= 1 << u
+        return False
 
     for v in range(n):
         above, below = full & ~((2 << v) - 1), (1 << v) - 1
-        yield from expand(1 << v, double[v] & (above | above << n), double[v] & (below | below << n))
+        if expand(1 << v, double[v] & (above | above << n), double[v] & (below | below << n)):
+            break
+    return found
 
 
 def enumerate_bicliques(g: Graph) -> BicliqueFamily:
@@ -195,8 +208,8 @@ def biclique_graph_with_limit(g: Graph, max_order: int) -> tuple[Graph, None] | 
     Preimage searches use this to discard hosts whose biclique count
     overshoots the target order without finishing the enumeration.
     """
-    found = list(islice(_bicliques(g), max_order + 1))
+    found = _bicliques(g, max_order)
     if len(found) > max_order:
         return None, None
-    masks = sorted((mask for mask, _, _ in found), key=lambda m: tuple(_bits(m)))
+    masks = sorted((mask for mask, _, _ in found), key=_bits)
     return _intersection_graph(masks), None

@@ -158,8 +158,8 @@ def iter_generalized_twins(g: Graph, i_max: int | None = None, containment: str 
                 yield {
                     "vertices": tuple(twins[:i]),
                     "i": i,
-                    "common_neighbourhood": tuple(_bits(nb)),
-                    "clique": tuple(_bits(clique)),
+                    "common_neighbourhood": _bits(nb),
+                    "clique": _bits(clique),
                 }
 
 

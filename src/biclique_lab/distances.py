@@ -29,7 +29,7 @@ from .bicliques import BicliqueFamily, biclique_graph
 from .graphs import Graph, GraphError, _bits, _layers, distances_from
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BicliqueDistanceReport:
     """One unordered pair of distinct bicliques.
 
@@ -106,15 +106,16 @@ def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
         for v in members[j]:
             if hit := balls[v][d_g] & masks[i]:
                 break
+        # Positional, in field order: keywords cost a frozen instance more.
         reports.append(
             BicliqueDistanceReport(
-                i=i,
-                j=j,
-                d_g=d_g,
-                d_kb=int(kb_dist[i][j]),
-                formula_value=(d_g + 1) // 2 + 1,
-                closest_pair=((hit & -hit).bit_length() - 1, v),
-                witness_count=(nearer[i][d_g] & nearer[j][d_g]).bit_count() if d_g else None,
+                i,
+                j,
+                d_g,
+                int(kb_dist[i][j]),
+                (d_g + 1) // 2 + 1,
+                ((hit & -hit).bit_length() - 1, v),
+                (nearer[i][d_g] & nearer[j][d_g]).bit_count() if d_g else None,
             )
         )
     return reports

@@ -54,12 +54,39 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _byte_table(offset: int) -> tuple[tuple[int, ...], ...]:
+    # table[b]: the set bit positions of b << offset, for every byte b.
+    table = [()]
+    for i in range(offset, offset + 8):
+        table += [bits + (i,) for bits in table]
+    return tuple(table)
+
+
+#: One table per byte of a 64-bit word; building all eight takes
+#: 0.2-0.3 ms, which every import of the library pays.
+_BYTE_TABLES = tuple(map(_byte_table, range(0, 64, 8)))
+_BYTE0, _BYTE1 = _BYTE_TABLES[:2]
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of a nonnegative ``mask``, in increasing order.
+
+    Read a byte at a time from ``_BYTE_TABLES``, with the 8- and 16-bit
+    masks that most calls see answered by one or two lookups.  A mask wider
+    than 64 bits takes its low word from the tables and the rest from the
+    same tables by recursion, so any width is exact.
+    """
+    if mask < 256:
+        return _BYTE0[mask]
+    if mask < 65536:
+        return _BYTE0[mask & 255] + _BYTE1[mask >> 8]
+    out = ()
+    for table in _BYTE_TABLES:
+        out += table[mask & 255]
+        mask >>= 8
+        if not mask:
+            return out
+    return out + tuple(i + 64 for i in _bits(mask))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -104,7 +131,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return tuple(_bits(self.adj[v]))
+        return _bits(self.adj[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):

@@ -1,4 +1,4 @@
-"""Shared fixtures plus the acceptance summary hook.
+"""The acceptance summary hook, and ``tests/`` on the import path.
 
 Tests marked ``@pytest.mark.acceptance(num, label)`` feed a one-line
 PASS/FAIL summary per criterion printed at the end of the run.  A criterion
@@ -13,9 +13,6 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-from biclique_lab.bicliques import biclique_graph
-from biclique_lab.graphs import enumerate_connected_graphs
 
 pytest_plugins = ["pytester"]
 
@@ -49,20 +46,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for (num, label), outcomes in sorted(_ACCEPTANCE_RESULTS.items()):
         verdict = "PASS" if all(o == "passed" for o in outcomes) else "FAIL"
         terminalreporter.write_line(f"criterion {num} ({label}): {verdict}")
-
-
-@pytest.fixture(scope="session")
-def kb_cache():
-    """(graph, KB, family) for every connected class, keyed by order."""
-    cache: dict[int, list] = {}
-
-    def get(n: int):
-        if n not in cache:
-            rows = []
-            for g in enumerate_connected_graphs(n):
-                kb, family = biclique_graph(g)
-                rows.append((g, kb, family))
-            cache[n] = rows
-        return cache[n]
-
-    return get

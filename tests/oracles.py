@@ -7,10 +7,18 @@ can be checked against something that has no shared logic with them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cache
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 from biclique_lab.bicliques import biclique_graph
 from biclique_lab.graphs import Graph, canonical_form, enumerate_connected_graphs, is_connected
+
+
+def bits_oracle(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask``, one shift and test per position."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def is_complete_bipartite_literal(g: Graph, vertices: tuple[int, ...]) -> bool:
@@ -311,17 +319,26 @@ def subgraph_embedding_exists(small: Graph, big: Graph) -> bool:
     return extend(0, 0)
 
 
-def first_preimages_oracle(max_g: int, max_h: int) -> dict[str, Graph]:
+@cache
+def host_kbs(n: int) -> tuple[tuple[Graph, Graph], ...]:
+    """(host, KB(host)) for every connected class on n vertices, in
+    generation order, computed once per process: the acceptance host scan
+    and ``first_preimages_oracle`` read the same walk."""
+    return tuple((host, biclique_graph(host)[0]) for host in enumerate_connected_graphs(n))
+
+
+@cache
+def first_preimages_oracle(max_g: int, max_h: int) -> Mapping[str, Graph]:
     """The preimage sweep from its definition: every connected class on
     2..max_h vertices in generation order (by order, then canonical form),
     its full KB with no biclique cap and no twin pruning, and the first host
     of each KB class on 1..max_g vertices, keyed by canonical form.  It
     shares generation, KB and canonical form with the library, each checked
-    against its own oracle, but none of the sweep's pruning."""
+    against its own oracle, but none of the sweep's pruning.  Memoised, so
+    the mapping is read-only."""
     first: dict[str, Graph] = {}
     for n in range(2, max_h + 1):
-        for host in enumerate_connected_graphs(n):
-            kb, _ = biclique_graph(host)
+        for host, kb in host_kbs(n):
             if 1 <= kb.n <= max_g:
                 first.setdefault(canonical_form(kb), host)
-    return first
+    return MappingProxyType(first)

@@ -66,6 +66,7 @@ from oracles import (
     bicliques_oracle,
     canonical_oracle,
     hamiltonian_oracle,
+    host_kbs,
     subgraph_embedding_exists,
 )
 
@@ -90,16 +91,16 @@ def host_scan():
     """One sweep over every connected host on 2..8 vertices.
 
     Collects everything the corpus-wide criteria need so the expensive KB
-    computation happens once: battery violations, disconnected KBs,
-    non-Hamiltonian KBs, and the isomorphism classes of small KBs.
+    computation happens once (``host_kbs``, which the preimage oracle reads
+    too): battery violations, disconnected KBs, non-Hamiltonian KBs, and the
+    isomorphism classes of small KBs.
     """
     battery_violations = []
     kb_disconnected = []
     kb_nonhamiltonian = []
     realised_small_kbs: dict[str, str] = {}
     for n in range(2, 9):
-        for host in enumerate_connected_graphs(n):
-            kb, _ = biclique_graph(host)
+        for host, kb in host_kbs(n):
             h6 = write_graph6(host)
             if not is_connected(kb):
                 kb_disconnected.append(h6)

@@ -175,13 +175,14 @@ class TestEnumeration:
 
 
 class TestRawStream:
-    """``_bicliques`` before any sort.  ``biclique_graph_with_limit`` counts
-    its items with ``islice(cap + 1)``, so a biclique met twice could make
-    it discard a family within the cap."""
+    """``_bicliques`` before any sort.  ``biclique_graph_with_limit`` asks it
+    to stop after ``cap + 1`` bicliques, so a biclique met twice could make
+    it discard a family within the cap, and a capped list that is not a
+    prefix of the full one could keep a family over it."""
 
     @staticmethod
     def stream(g):
-        items = list(_bicliques(g))
+        items = _bicliques(g)
         masks = [mask for mask, _, _ in items]
         assert len(set(masks)) == len(masks)
         for mask, side_a, side_b in items:
@@ -200,6 +201,16 @@ class TestRawStream:
     @pytest.mark.parametrize("k", range(3, 7))
     def test_crown_yields_each_of_its_bicliques_once(self, k):
         assert len(self.stream(crown_graph(k))) == 2**k - 2
+
+    def test_a_capped_list_is_a_prefix_of_the_full_one(self):
+        for n in range(2, 7):
+            for g in enumerate_connected_graphs(n):
+                full = _bicliques(g)
+                kb, _ = biclique_graph(g)
+                for limit in range(len(full) + 2):
+                    assert _bicliques(g, limit) == full[: limit + 1]
+                    capped, _ = biclique_graph_with_limit(g, limit)
+                    assert capped == (kb if len(full) <= limit else None)
 
 
 class TestBicliqueGraph:

@@ -213,6 +213,21 @@ class TestLinkCompanions:
         with pytest.raises(GraphError):
             link_companions(g, fam, 0, 1)
 
+    def test_crown_counts_past_64_bicliques(self):
+        # K_{7,7} minus a perfect matching has 126 bicliques, so its incidence
+        # masks are 126 bits wide: a bit walk cut at 64 bits finds 21,018
+        # triples and 2,564,196 companions here.
+        k = 7
+        g = Graph(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
+        fam = enumerate_bicliques(g)
+        triples = companions = 0
+        for i, j in combinations(range(len(fam)), 2):
+            if not fam[i].mask & fam[j].mask:
+                rows = link_companions(g, fam, i, j)
+                triples += len(rows)
+                companions += sum(len(found) for _, _, found in rows)
+        assert (len(fam), triples, companions) == (126, 41_664, 5_083_008)
+
     @settings(max_examples=40)
     @given(connected_graphs(max_order=6))
     def test_companion_exists_for_every_touching_pair(self, g):

@@ -11,6 +11,7 @@ from biclique_lab.graphs import (
     Graph,
     GraphError,
     _augmentations,
+    _bits,
     canonical_form,
     canonical_graph,
     complete_graph,
@@ -32,6 +33,7 @@ from biclique_lab.patterns import GEM, HAJOS
 from oracles import (
     augmented_classes_oracle,
     automorphisms_oracle,
+    bits_oracle,
     canonical_oracle,
     connected_classes_oracle,
 )
@@ -60,6 +62,24 @@ class TestGraphBasics:
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
             g.n = 3
+
+
+class TestBits:
+    def test_every_mask_below_2_to_the_12(self):
+        for mask in range(1 << 12):
+            assert _bits(mask) == bits_oracle(mask), mask
+
+    def test_wide_masks(self):
+        # Biclique incidence masks reach 126 bits on the crown graph with
+        # k = 7 and 1022 bits on hosts of 20 vertices: past the tables' 64.
+        rng = random.Random(24)
+        masks = [1 << 64, (1 << 64) - 1, 1 << 1099, (1 << 1100) - 1]
+        for _ in range(2000):
+            width = rng.randrange(1, 1101)
+            masks.append(rng.getrandbits(width) | 1 << width - 1)
+            masks.append(1 << rng.randrange(width) | 1 << width - 1)
+        for mask in masks:
+            assert _bits(mask) == bits_oracle(mask), mask
 
 
 class TestDistance:

@@ -222,7 +222,7 @@ class TestAgainstTheOracle:
 
     @pytest.mark.parametrize("max_g, max_h", [*((g, h) for h in range(2, 8) for g in range(2, h + 1)), (6, 8)])
     def test_positive_preimages(self, max_g, max_h):
-        expected = first_preimages_oracle(max_g, max_h)
+        expected = dict(first_preimages_oracle(max_g, max_h))
         del expected["@"]  # K1 = KB(K2); the catalogue starts at order 2
         assert positive_preimages(max_g, max_h) == expected
 
