@@ -22,6 +22,7 @@ only claimed for distinct bicliques, so reports cover i < j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
 
@@ -179,7 +180,9 @@ def link_companions(
     For every edge (u, v) with u in B_i, v in B_j and every biclique b1
     containing both endpoints, lists the bicliques b2 outside {i, j, b1}
     meeting B_i, B_j and b1.  Returns (edge, b1, companions) triples; at
-    least one companion exists for each.
+    least one companion exists for each.  The companions are one AND of
+    masks: the bicliques meeting B_x are the union of the incidence rows of
+    B_x's vertices.
     """
     family.check_index(i)
     family.check_index(j)
@@ -187,18 +190,15 @@ def link_companions(
     b_mask = family[j].mask
     if a_mask & b_mask:
         raise GraphError("link companions need a disjoint pair")
+    incidence = family.incidence
+
+    def meets(mask: int) -> int:
+        return reduce(or_, map(incidence.__getitem__, _bits(mask)))
+
+    both = meets(a_mask) & meets(b_mask) & ~(1 << i | 1 << j)
     out = []
     for u in _bits(a_mask):
         for v in _bits(g.adj[u] & b_mask):
-            both = family.incidence[u] & family.incidence[v]
-            for b1 in _bits(both):
-                companions = tuple(
-                    b2
-                    for b2 in range(len(family))
-                    if b2 not in (i, j, b1)
-                    and family[b2].mask & a_mask
-                    and family[b2].mask & b_mask
-                    and family[b2].mask & family[b1].mask
-                )
-                out.append(((u, v), b1, companions))
+            for b1 in _bits(incidence[u] & incidence[v]):
+                out.append(((u, v), b1, _bits(both & meets(family[b1].mask) & ~(1 << b1))))
     return out

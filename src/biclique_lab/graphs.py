@@ -13,6 +13,7 @@ Provided here:
 * BFS distances, connectivity and 2-connectivity,
 * an exact canonical form (lexicographically least graph6 string over all
   relabelings, computed by a pruned search over ordered vertex partitions),
+  whose tied leaves, with the twin swaps it prunes, also generate Aut(g),
 * exhaustive generation of connected graphs up to isomorphism: one
   augmentation mask per orbit of the parent's automorphisms, filtered by
   canonical deletion before the canonical search.
@@ -346,22 +347,38 @@ def is_biconnected(g: Graph) -> bool:
 #
 # The search state is an ordered partition of the unplaced vertices: a cell
 # is (bits, mask), the vertices whose column so far (their adjacency to the
-# placed prefix) is ``bits``, and the cells run in increasing ``bits``.  Only the first cell can give the
-# least next column, so only its vertices are branched on.  Placing v splits
-# every cell, minus v, into the vertices not adjacent to v (bits << 1) and
-# then those adjacent to v (bits << 1 | 1), which keeps the order.  A branch
-# whose first cell is already above the best column found at that position
-# is cut.  The search keeps the least columns, not an ordering.  Ordered
-# partitions are also the state of McKay 1981 and McKay & Piperno 2014,
-# which refine them further.
+# placed prefix) is ``bits``, and the cells run in increasing ``bits``.  Only
+# the first cell can give the least next column, so only its vertices are
+# branched on.  Placing v splits every cell, minus v, into the vertices not
+# adjacent to v (bits << 1) and then those adjacent to v (bits << 1 | 1),
+# which keeps the order.  A branch whose first cell is already above the
+# best column found at that position is cut, so no ordering that reaches
+# the least columns is cut.  Ordered partitions are also the state of
+# McKay 1981 and McKay & Piperno 2014, which refine them further.
+#
+# Twins v, w (equal neighbourhoods apart from v and w) are swapped by an
+# automorphism fixing the placed prefix, so placing w next gives the columns
+# of placing v next, and a node tries one vertex of each twin class.
+# Adjacent twins have equal closed neighbourhoods, others equal open ones;
+# no open neighbourhood equals a closed one.
+#
+# The tied leaves give Aut(g).  Two orderings that reach the least columns
+# relabel g alike, so first[k] -> leaf[k] is an automorphism, and every
+# automorphism a is that map for the ordering k -> a(first[k]).  Where that
+# ordering places a skipped twin w, swapping w with the tried v leads into a
+# searched branch, so the twin swaps and the maps first -> leaf generate
+# Aut(g).
 
 _BITS_SENTINEL = 1 << 63
 
 
-def _canonical_columns(n: int, adj: Sequence[int]) -> list[int]:
-    """Column k of the lexicographically least relabelled adjacency, as a
-    k-bit int with adj(p_0,p_k) most significant, for every k < n."""
+def _canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The least columns, column k a k-bit int with adj(p_0,p_k) most
+    significant, and every placement order (entry k the vertex placed at
+    position k) of the search that reaches them."""
     best = [_BITS_SENTINEL] * n
+    order = [0] * n
+    leaves: list[list[int]] = []
 
     def place(pos: int, cells: list[tuple[int, int]]) -> None:
         bits, mask = cells[0]
@@ -369,19 +386,19 @@ def _canonical_columns(n: int, adj: Sequence[int]) -> list[int]:
             best[pos] = bits
             for k in range(pos + 1, n):
                 best[k] = _BITS_SENTINEL
+            leaves.clear()
         if pos + 1 == n:
+            order[pos] = mask.bit_length() - 1
+            leaves.append(order.copy())
             return
-        # Swapping twins v, w (equal neighbourhoods apart from v and w) is an
-        # automorphism fixing the placed prefix, so w after v gives the same
-        # columns.  Adjacent twins have equal closed neighbourhoods, others
-        # equal open ones; no open neighbourhood equals a closed one.
         tried: set[int] = set()
         for v in _bits(mask):
             near = adj[v]
             closed = near | 1 << v
             if near in tried or closed in tried:
                 continue
-            tried.update((near, closed))
+            tried.add(near)
+            tried.add(closed)
             far = ~closed
             split = []
             for b, m in cells:
@@ -390,10 +407,11 @@ def _canonical_columns(n: int, adj: Sequence[int]) -> list[int]:
                 if m & near:
                     split.append((b << 1 | 1, m & near))
             if split[0][0] <= best[pos + 1]:
+                order[pos] = v
                 place(pos + 1, split)
 
     place(0, [(0, (1 << n) - 1)])
-    return best
+    return best, leaves
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -410,7 +428,7 @@ def canonical_form(g: Graph) -> str:
         raise CapabilityError(
             f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}"
         )
-    return _pack_graph6(g.n, _canonical_columns(g.n, g.adj))
+    return _pack_graph6(g.n, _canonical_search(g.n, g.adj)[0])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -426,51 +444,22 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Permutations p, vertex v going to p[v], that generate Aut(g).
-
-    They are the twin transpositions, each vertex with its least twin, and
-    the leaves of a search that places vertices at positions 0, 1, ... so
-    that they reproduce g's own columns: a leaf places p[k] at position k,
-    so p is an automorphism.  The first leaf, the identity, is dropped.
-    Like the canonical search, this one tries one vertex of each twin class
-    at a node: if w is a twin of a tried v, the transposition (v w) fixes
-    the placed prefix and maps every ordering that places w next to one
-    that places v, so together the two kinds of generator reach every
-    automorphism.
-    """
+    """Permutations p, vertex v going to p[v], that generate Aut(g): the
+    twin transpositions, each vertex with its least twin, and first[k] ->
+    leaf[k] for each later leaf of the canonical search (see the comment
+    above ``_canonical_search`` for why these suffice)."""
     n, adj = g.n, g.adj
-    identity = tuple(range(n))
     generators = []
     for v in range(n):
         for u in range(v):
             if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                swap = list(identity)
+                swap = list(range(n))
                 swap[u], swap[v] = v, u
                 generators.append(tuple(swap))
                 break
-
-    def place(order: list[int], columns: list[int], left: int) -> None:
-        k = len(order)
-        if k == n:
-            if tuple(order) != identity:
-                generators.append(tuple(order))
-            return
-        want = adj[k] & ((1 << k) - 1)  # column k, bit i for position i
-        degree = adj[k].bit_count()
-        tried: set[int] = set()
-        for v in _bits(left):
-            near = adj[v]
-            closed = near | 1 << v
-            if columns[v] != want or near.bit_count() != degree or near in tried or closed in tried:
-                continue
-            tried.update((near, closed))
-            placed = columns.copy()
-            for u in _bits(near):
-                placed[u] |= 1 << k
-            place(order + [v], placed, left ^ 1 << v)
-
-    place([], [0] * n, g.vertex_mask())
-    return generators
+    first, *rest = _canonical_search(n, adj)[1]
+    position = sorted(range(n), key=first.__getitem__)  # first[position[u]] == u
+    return generators + [tuple(leaf[k] for k in position) for leaf in rest]
 
 
 def _augmentations(parent: Graph) -> Iterator[int]:
@@ -482,8 +471,9 @@ def _augmentations(parent: Graph) -> Iterator[int]:
     non-cut vertex to see this), so augmenting connected parents is complete;
     masks in one orbit give isomorphic children, so one mask each loses no
     class, and a sweep reading the children in mask order meets each class
-    first at the same child.  The orbits are closed with one image table per
-    generator over the 2^n masks.
+    first at the same child.  The orbits are closed under the generators
+    that the parent's own canonical search gives (``_automorphism_generators``),
+    with one image table per generator over the 2^n masks.
     """
     size = 1 << parent.n
     tables = []

@@ -11,7 +11,9 @@ from biclique_lab.graphs import (
     Graph,
     GraphError,
     _augmentations,
+    _automorphism_generators,
     _bits,
+    _canonical_search,
     canonical_form,
     canonical_graph,
     complete_graph,
@@ -226,6 +228,63 @@ class TestCanonicalForm:
         assert canonical_form(permuted(g, list(perm))) == canonical_form(g)
 
 
+def _classes_and_relabellings(max_order, rng):
+    """Every connected class on 1..max_order vertices, each followed by a
+    seeded relabelling of it."""
+    out = []
+    for n in range(1, max_order + 1):
+        for g in enumerate_connected_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            out += [g, permuted(g, perm)]
+    return out
+
+
+def _group_order(g):
+    """|Aut(g)| as the closure of ``_automorphism_generators``, each of
+    which is checked to be an automorphism."""
+    generators = _automorphism_generators(g)
+    for p in generators:
+        assert permuted(g, p) == g, p
+    identity = tuple(range(g.n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        q = frontier.pop()
+        for p in generators:
+            image = tuple(p[q[v]] for v in range(g.n))
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    return len(group)
+
+
+class TestAutomorphisms:
+    def test_every_leaf_relabels_to_the_canonical_form(self):
+        for g in _classes_and_relabellings(6, random.Random(25)):
+            _, leaves = _canonical_search(g.n, g.adj)
+            assert leaves and len(set(map(tuple, leaves))) == len(leaves)
+            for leaf in leaves:
+                position = [0] * g.n
+                for k, v in enumerate(leaf):
+                    position[v] = k
+                assert write_graph6(permuted(g, position)) == canonical_form(g), (write_graph6(g), leaf)
+
+    def test_group_orders_past_the_permutation_oracle(self):
+        def cycle_edges(vertices):
+            return [(vertices[k - 1], vertices[k]) for k in range(len(vertices))]
+
+        petersen = Graph(10, cycle_edges(range(5)) + cycle_edges([5, 7, 9, 6, 8]) + [(k, k + 5) for k in range(5)])
+        prism = Graph(12, cycle_edges(range(6)) + cycle_edges(range(6, 12)) + [(k, k + 6) for k in range(6)])
+        cube = Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1])
+        cases = [(petersen, 120), (cycle_graph(12), 24), (prism, 24), (cube, 48)]
+        for g, order in cases:
+            assert _group_order(g) == order, write_graph6(g)
+            rng = random.Random(order)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert _group_order(permuted(g, perm)) == order, write_graph6(g)
+
+
 class TestGeneration:
     def test_counts_small(self):
         assert [connected_graph_count(n) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
@@ -275,14 +334,17 @@ class TestGeneration:
         assert len(calls) == 902
 
     def test_augmentations_are_the_least_mask_of_each_orbit(self):
-        for n in range(1, 7):
-            for parent in enumerate_connected_graphs(n):
-                group = automorphisms_oracle(parent)
-                least = {
-                    min(sum(1 << p[u] for u in range(n) if mask >> u & 1) for p in group)
-                    for mask in range(1, 1 << n)
-                }
-                assert list(_augmentations(parent)) == sorted(least), write_graph6(parent)
+        # The class representatives are canonically labelled; a seeded
+        # relabelling of each makes the search's leaves differ from them.
+        for parent in _classes_and_relabellings(6, random.Random(25)):
+            n = parent.n
+            group = automorphisms_oracle(parent)
+            assert _group_order(parent) == len(group), write_graph6(parent)
+            least = {
+                min(sum(1 << p[u] for u in range(n) if mask >> u & 1) for p in group)
+                for mask in range(1, 1 << n)
+            }
+            assert list(_augmentations(parent)) == sorted(least), write_graph6(parent)
 
     def test_capability_bound(self):
         with pytest.raises(CapabilityError):

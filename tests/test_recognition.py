@@ -16,9 +16,7 @@ from biclique_lab.graphs import (
     CapabilityError,
     Graph,
     GraphError,
-    _augmentations,
-    _augmented,
-    _last_vertex_is_greatest,
+    _children,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -143,9 +141,7 @@ class TestResumedSweep:
         # false-twin-free augmentations of the capped ones on 6 that pass
         # canonical deletion.
         capped = [p for p in enumerate_connected_graphs(5) if biclique_graph_with_limit(p, 3)[0] is not None]
-        children = [
-            _augmented(p, mask) for p in capped for mask in filter(_last_vertex_is_greatest(p), _augmentations(p))
-        ]
+        children = [child for p in capped for child in _children(p)]
         walk = [g for n in range(2, 5) for g in enumerate_connected_graphs(n) if _twin_free(g)]
         walk += enumerate_connected_graphs(5)
         walk += filter(_twin_free, children)
@@ -476,4 +472,23 @@ class TestDeterminism:
         sweep = recognition._swept(orders, 7, 2)
         assert next(hit for hit in sweep if hit[0].n == 7) in serial
         sweep.close()
+        assert multiprocessing.active_children() == []
+
+    def test_failed_reduction_cancels_the_pool(self, monkeypatch):
+        # Only this process's least-form reduction takes canonical forms of
+        # hosts on 7 vertices; the spawned workers import the module
+        # unpatched.  It fails at the first hit it reduces, with tasks queued,
+        # so the sweep takes the cancelling shutdown: the error reaches the
+        # caller and no worker outlives the sweep.
+        monkeypatch.setattr(recognition, "MAX_PREIMAGE_ORDER", 7)
+        search = recognition.canonical_form
+
+        def failing(g):
+            if g.n == 7:
+                raise RuntimeError("reduction failed")
+            return search(g)
+
+        monkeypatch.setattr(recognition, "canonical_form", failing)
+        with pytest.raises(RuntimeError, match="reduction failed"):
+            list(recognition._swept(range(2, 7), 7, 2))
         assert multiprocessing.active_children() == []
