@@ -11,9 +11,10 @@ at distance at most k-1 from both.  This module computes the per-pair
 reports, the witness sets, and the companion bicliques guaranteed for
 touching (distance-1) pairs.
 
-``distance_reports`` costs one ``biclique_distance`` BFS per pair, a count
-the benchmark's tracer test pins, and one BFS per vertex; closest pairs and
-witness counts are then read off bit masks.
+``distance_reports`` makes one ``biclique_distance`` call per pair, a count
+the benchmark's tracer test pins: one BFS for a disjoint pair, one mask
+test for an overlapping one.  With one BFS per vertex of G and one per
+vertex of KB(G), closest pairs, d_KB and witness counts are read off masks.
 
 Convention: the report for a pair (i, i) would have d_kb = 0; the formula is
 only claimed for distinct bicliques, so reports cover i < j.
@@ -21,18 +22,20 @@ only claimed for distinct bicliques, so reports cover i < j.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
 
 from .bicliques import BicliqueFamily, biclique_graph
-from .graphs import Graph, GraphError, _bits, _layers, distances_from
+from .graphs import Graph, GraphError, _bits, _layers
 
 
-@dataclass(frozen=True, slots=True)
-class BicliqueDistanceReport:
-    """One unordered pair of distinct bicliques.
+class BicliqueDistanceReport(
+    namedtuple("BicliqueDistanceReport", "i j d_g d_kb formula_value closest_pair witness_count")
+):
+    """One unordered pair of distinct bicliques, as a named tuple.
 
     ``formula_value`` is floor((d_g + 1)/2) + 1 and must equal ``d_kb``.
     ``closest_pair`` is the (u, v), u in B_i and v in B_j, realising d_g
@@ -40,15 +43,10 @@ class BicliqueDistanceReport:
     vertex of B_i at distance d_g from v.
     ``witness_count`` is the size of the pair's witness set (see
     ``find_witnesses``), or None for an overlapping pair (d_g == 0).
+    The fields are in the order of the CLI's JSON keys.
     """
 
-    i: int
-    j: int
-    d_g: int
-    d_kb: int
-    formula_value: int
-    closest_pair: tuple[int, int]
-    witness_count: int | None
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -58,12 +56,16 @@ class BicliqueDistanceReport:
 def biclique_distance(g: Graph, family: BicliqueFamily, i: int, j: int) -> int:
     """min over b in B_i, b' in B_j of the graph distance; 0 on overlap.
 
-    A multi-source BFS from B_i, stopped at the first layer meeting B_j.
+    An overlapping pair is one mask test; otherwise a multi-source BFS
+    from B_i, stopped at the first layer meeting B_j.
     """
     family.check_index(i)
     family.check_index(j)
+    source = family[i].mask
     target = family[j].mask
-    for d, layer in enumerate(_layers(g, family[i].mask)):
+    if source & target:
+        return 0
+    for d, layer in enumerate(_layers(g, source)):
         if layer & target:
             return d
     raise GraphError("bicliques lie in different components")
@@ -72,16 +74,16 @@ def biclique_distance(g: Graph, family: BicliqueFamily, i: int, j: int) -> int:
 def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
     """One report per unordered pair of distinct bicliques of ``g``.
 
-    Cost: one ``biclique_distance`` BFS per pair fills the F x F matrix of
-    biclique distances, and one BFS per vertex of ``g`` gives its balls.
-    Closest pairs are read off the balls and witness counts off masks of
-    the matrix rows, with no further search per pair.  The matrix is still
-    filled pair by pair because the benchmark's tracer test pins that call
-    count (15 for C6); one multi-source BFS per biclique would fill it too.
+    Cost: one ``biclique_distance`` call per pair fills the F x F matrix of
+    biclique distances: one BFS for a disjoint pair, one mask test for an
+    overlapping one.  One BFS per vertex of ``g`` and one per vertex of
+    KB(G) give the balls that closest pairs, d_KB and witness counts are
+    read off, with no further search per pair.  The matrix is filled pair by
+    pair because the benchmark's tracer test pins that call count (15 for
+    C6); one multi-source BFS per biclique would fill it too.
     """
     kb, family = biclique_graph(g)
     size = len(family)
-    kb_dist = [distances_from(kb, 1 << i) for i in range(size)]
     d = [[0] * size for _ in range(size)]
     for i, j in combinations(range(size), 2):
         d[i][j] = d[j][i] = biclique_distance(g, family, i, j)
@@ -89,6 +91,9 @@ def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
     # at least d_g from B_i, so its eccentricity is too and balls[v][d_g]
     # exists; the first v whose ball meets B_i is the tie rule's v.
     balls = [list(accumulate(_layers(g, 1 << v), or_)) for v in range(g.n)]
+    # kb_balls[i][k]: the bicliques within KB distance k of B_i; d_kb is the
+    # first k whose ball holds j, and k = 0 never does.
+    kb_balls = [list(accumulate(_layers(kb, 1 << i), or_)) for i in range(size)]
     # nearer[i][k]: the bicliques at distance < k from B_i.  Neither end of
     # a pair at distance d_g is nearer than d_g to the other, so the meet of
     # two rows at d_g is exactly the pair's witness set.
@@ -107,18 +112,12 @@ def distance_reports(g: Graph) -> list[BicliqueDistanceReport]:
         for v in members[j]:
             if hit := balls[v][d_g] & masks[i]:
                 break
-        # Positional, in field order: keywords cost a frozen instance more.
-        reports.append(
-            BicliqueDistanceReport(
-                i,
-                j,
-                d_g,
-                int(kb_dist[i][j]),
-                (d_g + 1) // 2 + 1,
-                ((hit & -hit).bit_length() - 1, v),
-                (nearer[i][d_g] & nearer[j][d_g]).bit_count() if d_g else None,
-            )
-        )
+        d_kb = 1
+        while not kb_balls[i][d_kb] >> j & 1:
+            d_kb += 1
+        closest = ((hit & -hit).bit_length() - 1, v)
+        count = (nearer[i][d_g] & nearer[j][d_g]).bit_count() if d_g else None
+        reports.append(BicliqueDistanceReport(i, j, d_g, d_kb, (d_g + 1) // 2 + 1, closest, count))
     return reports
 
 

@@ -288,20 +288,14 @@ def _layers(g: Graph, sources: int, within: int = -1) -> Iterator[int]:
         seen |= frontier
 
 
-def distances_from(g: Graph, sources: int) -> list[int | float]:
-    """BFS distances from the ``sources`` bitmask (INFINITY if unreachable)."""
-    dist: list[int | float] = [INFINITY] * g.n
-    for d, layer in enumerate(_layers(g, sources)):
-        for v in _bits(layer):
-            dist[v] = d
-    return dist
-
-
 def distance(g: Graph, u: int, v: int) -> int | float:
     """Shortest-path distance; 0 iff u == v, INFINITY across components."""
     g._check_vertex(u)
     g._check_vertex(v)
-    return distances_from(g, 1 << u)[v]
+    for d, layer in enumerate(_layers(g, 1 << u)):
+        if layer >> v & 1:
+            return d
+    return INFINITY
 
 
 def is_connected(g: Graph) -> bool:

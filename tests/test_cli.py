@@ -10,6 +10,7 @@ from biclique_lab.cli import (
     EXIT_PARSE,
     main,
 )
+from biclique_lab.distances import BicliqueDistanceReport
 from biclique_lab.graphs import canonical_form, complete_graph, parse_graph6, write_graph6
 from biclique_lab.patterns import CROWN, HAJOS
 
@@ -166,6 +167,8 @@ class TestDistanceCommand:
         keys = ["schema", "graph6", "i", "j", "d_g", "d_kb", "formula_value", "closest_pair", "witness_count"]
         payloads = [json.loads(line) for line in rows]
         assert all(list(p) == keys for p in payloads)
+        # The CLI unpacks each report as a tuple, so its fields are the keys.
+        assert BicliqueDistanceReport._fields == tuple(keys[2:])
         assert any(p["graph6"] == "F?L\\O" for p in payloads)
         assert any(p["witness_count"] is None for p in payloads)
         assert any(p["witness_count"] is not None for p in payloads)

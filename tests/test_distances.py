@@ -52,8 +52,13 @@ class TestBicliqueDistance:
 
     def test_index_out_of_range(self, p6):
         g, fam = p6
-        with pytest.raises(GraphError):
-            biclique_distance(g, fam, 0, 99)
+        # P6's bicliques are {0,1,2}, {1,2,3}, {2,3,4} and {3,4,5}: a wrapped
+        # -1 would be B_3, which meets B_2 and B_3, so (-1, 3) and (2, -1)
+        # would answer 0 from the overlap check.
+        for i, j in [(0, 99), (99, 0), (4, 0), (0, 4), (-1, 3), (3, -1), (2, -1), (-1, 0)]:
+            bad = j if 0 <= i < len(fam) else i
+            with pytest.raises(GraphError, match=rf"^biclique index {bad} out of range$"):
+                biclique_distance(g, fam, i, j)
 
     @settings(max_examples=40)
     @given(connected_graphs(max_order=6))
@@ -113,17 +118,10 @@ class TestDistanceFormula:
                     u = min(u for u in side_i if vertex_distance(g, u, v) == d_g)
                     assert r.closest_pair == (u, v), (g, r.i, r.j)
 
-    @staticmethod
-    def _rows(g):
-        return [
-            (r.i, r.j, r.d_g, r.d_kb, r.formula_value, r.closest_pair, r.witness_count)
-            for r in distance_reports(g)
-        ]
-
     def test_reports_match_the_literal_oracle_to_order_6(self):
         for n in range(2, 7):
             for g in enumerate_connected_graphs(n):
-                assert self._rows(g) == distance_reports_oracle(g), g
+                assert distance_reports(g) == distance_reports_oracle(g), g
 
     def test_reports_match_the_literal_oracle_past_diameter_4(self):
         # Connected classes to order 7 never reach d_g = 5; cycles, grids
@@ -146,10 +144,18 @@ class TestDistanceFormula:
         depth = 0
         for g in hosts:
             family = [b.vertices for b in enumerate_bicliques(g)]
-            rows = self._rows(g)
+            rows = distance_reports(g)
             assert rows == distance_reports_oracle(g, family), g
             depth = max(depth, *(row[2] for row in rows))
         assert depth > 4
+
+    def test_report_is_a_read_only_named_tuple(self):
+        r = distance_reports(path_graph(6))[0]
+        assert r == (0, 1, 0, 1, 1, (1, 1), None) and r.holds
+        with pytest.raises(AttributeError):
+            r.d_kb = 2
+        with pytest.raises(AttributeError):
+            r.extra = 0
 
     def test_small_corpus_exact(self):
         for n in range(2, 6):
