@@ -17,14 +17,13 @@ and exposes the library as composable subcommands:
 Only ``catalogue`` runs worker processes, and only for the hosts on 9
 vertices (``--max-h-order 9``): ``--workers N`` (N >= 1, default the CPU
 count) sizes that pool, and N = 1 walks them in-process, with the same
-output.  At bounds 6/9 the whole command takes 4-5 s on 2 workers and
-4.5-6.5 s on one (2 vCPU).  At every bound the hosts on the bound's own
-order are augmentations of the classes one order below with at most
---max-g-order bicliques (for ``recognize``, the query's order) that pass
-canonical deletion, so that order is never generated: ``catalogue`` at
-bounds 6/8 takes about 0.5 s, and a ``recognize`` miss at the default bound
-8 about 0.3 s, each in a fresh process.  Every preimage printed or written
-is the host of least order, then of least canonical graph6.
+output.  No host order is generated: each is the augmentations, passing
+canonical deletion, of the classes one order below with at most
+--max-g-order bicliques (for ``recognize``, the query's order).  In a fresh
+process ``catalogue`` takes 2.9-3.5 s at 6/9 on 2 workers, 3.3-4.6 s on one,
+and 0.5 s at 6/8; a ``recognize`` miss at bound 9 takes 0.4 s (2 vCPU).
+Every preimage printed or written is the host of least order, then of least
+canonical graph6.
 
 Exit codes: 0 clean; 1 parse/input errors; 2 capability errors (size bounds,
 for every per-graph command and for ``catalogue``); 3 reference-fixture

@@ -136,13 +136,17 @@ def iter_generalized_twins(g: Graph, i_max: int | None = None, containment: str 
 
     ``containment="exact"`` wants a complete subgraph on exactly i vertices,
     ``"superset"`` accepts any complete subgraph on >= i vertices.  Witness
-    dicts re-validate against the graph.  ``i_max`` below 2 is a ValueError.
+    dicts re-validate against the graph.  Another ``containment``, or an
+    ``i_max`` below 2, is a ValueError at the call, before any ``next()``.
     """
     if containment not in ("exact", "superset"):
         raise ValueError("containment must be 'exact' or 'superset'")
     if i_max is not None and i_max < 2:
         raise ValueError(f"i_max must be at least 2, got {i_max}")
-    limit = g.n if i_max is None else i_max
+    return _generalized_twins(g, g.n if i_max is None else i_max, containment)
+
+
+def _generalized_twins(g: Graph, limit: int, containment: str):
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         groups.setdefault(g.adj[v], []).append(v)
@@ -185,11 +189,12 @@ def check_generalized_twins(
     """Counterexample only when the configuration sits in a certified
     biclique graph; the diamond is exempt by hypothesis."""
     _require_connected(g)
+    witnesses = iter_generalized_twins(g, i_max=i_max, containment=containment)  # checks the arguments
     if _is_diamond(g):
         return ConjectureFinding(
             "generalized-twins", write_graph6(g), "not-applicable", note="the diamond is exempt"
         )
-    witness = next(iter_generalized_twins(g, i_max=i_max, containment=containment), None)
+    witness = next(witnesses, None)
     if witness is None:
         return ConjectureFinding("generalized-twins", write_graph6(g), "consistent")
     flat = (witness["vertices"], witness["i"], witness["common_neighbourhood"], witness["clique"])

@@ -7,15 +7,16 @@ which case the entry stays unknown and records the bound, so catalogue
 claims are never stronger than the search actually performed.
 
 One sweep serves the catalogue and ``search_preimage``: it walks every
-connected host class H up to ``max_h_order`` once, computes KB(H), and keeps
-the first host hitting each class of order <= ``max_g_order``: the least
-order, then the least canonical graph6.  Only the classes below the last
-host order are generated; the last order is the children, augmentations
-that pass canonical deletion, of the parents one order below with at most
-``max_g_order`` bicliques, which loses no hit by lemma (a): no connected
-induced subgraph has more bicliques than its host.  No host with false
-twins is a first hit, by lemma (b) below, so none gets a KB, bar the
-parents of that last order, which are all tested against the cap.
+connected host class H up to ``max_h_order`` with at most ``max_g_order``
+bicliques once, computes KB(H), and keeps the first host hitting each class
+of order <= ``max_g_order``: the least order, then the least canonical
+graph6.  It never calls ``enumerate_connected_graphs``: each host order is
+the children, augmentations that pass canonical deletion, of the capped
+classes one order below, from K1.  That loses no hit: deleting a greatest
+non-cut vertex from a capped class leaves a connected induced subgraph,
+capped too by lemma (a) (no connected induced subgraph has more bicliques
+than its host), so the class is a child of that subgraph's representative.
+No host with false twins is a first hit, by lemma (b) below.
 Catalogue classes never hit are classified by the obstruction battery.
 ``search_preimage`` reads its sweep only as far as the queried class and
 suspends it there, so a process walks each (order, bound) sweep at most once.
@@ -55,6 +56,7 @@ from .graphs import (
     CapabilityError,
     Graph,
     _children,
+    _next_classes,
     _require_connected,
     canonical_form,
     enumerate_connected_graphs,
@@ -64,11 +66,10 @@ from .graphs import (
 )
 from .obstructions import CHECK_NAMES, classify
 
-#: Host orders above this are out of the supported exhaustive regime.  One
-#: augmentation beyond generation: every connected graph of this order within
-#: the biclique cap appears at least once, exhaustive over classes without
-#: materialising them.
-MAX_PREIMAGE_ORDER = MAX_GENERATION_ORDER + 1
+#: Host orders above this are out of the supported exhaustive regime: a time
+#: policy, as the sweep steps from order to order without generation.  At 9
+#: a serial ``catalogue`` 6/9 takes 3.3-4.6 s (2 vCPU).
+MAX_PREIMAGE_ORDER = 9
 
 BICLIQUE_GRAPH = "biclique-graph"
 NOT_BICLIQUE_GRAPH = "not-biclique-graph"
@@ -188,34 +189,26 @@ def _parent_hits(orders: range, parent: Graph) -> list[tuple[Graph, str]]:
 
 def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Graph, str]]:
     """The preimage sweep: ``_hits`` of every host class on 2..max_h_order
-    vertices, the first host of each KB class first.
+    vertices with at most orders[-1] bicliques, the first host of each KB
+    class first.
 
-    The hosts below max_h_order are the class representatives, walked
-    in-process in generation order; those of order max_h_order - 1 are the
-    parents of the last order, and each with at most orders[-1] bicliques is
-    kept.  Only these capped parents are augmented by one vertex, into the
-    children that generation tries (``_children``).  The pruning by the cap
-    is exact: a host minus its last vertex is a connected induced subgraph,
-    which has no more bicliques than the host.  So is canonical deletion on
-    capped parents: deleting a greatest non-cut vertex from a capped class
-    leaves a connected induced subgraph, capped too, so its representative
-    is among the parents and one of its children is a copy of the class.
-    Every parent is tested against the cap, false twins or not, since a
-    false-twin-free host may have a parent with false twins.  False-twin
-    hosts get no KB: none is a first hit (lemma (b) above).
-
-    The parents are mapped one task each, on a process pool when more than
-    one worker is asked for at MAX_PREIMAGE_ORDER and in-process otherwise.
+    Each order's hosts are the children (``_children``) of the capped
+    classes one order below, from K1.  Below max_h_order they are taken as
+    classes (``_next_classes``, generation's step), walked in canonical
+    order, and each is tested against the cap, false twins or not, since a
+    false-twin-free host may have a parent with false twins.  The capped
+    classes of order max_h_order - 1 are mapped one task each, on a process
+    pool when more than one worker is asked for at MAX_PREIMAGE_ORDER and
+    in-process otherwise; false-twin children get no KB (lemma (b) above).
     Each KB class not hit below the last order gets its least canonical host
     there, and these are yielded in canonical order: what walking the
-    representatives of the last order would yield first for each class.  At
-    bound 2 order 2 is walked as classes, since K1 has no KB.
+    classes of the last order would yield first for each class.
     """
-    capped: list[Graph] = []  # of order max_h_order - 1: the last order's parents
+    capped = [Graph(1)]  # the capped classes of the order below, from K1
     yielded: set[str] = set()
-    for n in range(2, max(max_h_order - 1, 2) + 1):
-        parents = capped if n == max_h_order - 1 else None
-        for host, key in _hits(enumerate_connected_graphs(n), orders, parents):
+    for _ in range(2, max_h_order):
+        hosts, capped = _next_classes(capped), []
+        for host, key in _hits(hosts, orders, capped):
             yielded.add(key)
             yield host, key
     task = partial(_parent_hits, orders)

@@ -10,6 +10,7 @@ from biclique_lab.conjectures import (
     hamiltonian_cycle,
     iter_generalized_twins,
     non_helly_subfamily,
+    scan_certified_graphs,
     simplicial_vertices,
 )
 from biclique_lab.graphs import (
@@ -84,7 +85,22 @@ class TestGeneralizedTwins:
     @pytest.mark.parametrize("i_max", [1, 0, -3])
     def test_i_max_below_two_rejected(self, i_max):
         with pytest.raises(ValueError, match="i_max"):
-            next(iter_generalized_twins(CROWN.graph, i_max=i_max))
+            iter_generalized_twins(CROWN.graph, i_max=i_max)  # at the call, before next()
+
+    @pytest.mark.parametrize("graph", [DIAMOND.graph, CROWN.graph], ids=["diamond", "crown"])
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [({"containment": "bogus"}, "containment"), ({"i_max": 1}, "i_max")],
+        ids=["containment", "i_max"],
+    )
+    def test_bad_arguments_rejected_on_every_graph(self, graph, arguments, message):
+        # The diamond's exemption comes after the arguments are checked.
+        with pytest.raises(ValueError, match=message):
+            iter_generalized_twins(graph, **arguments)
+        with pytest.raises(ValueError, match=message):
+            check_generalized_twins(graph, **arguments)
+        with pytest.raises(ValueError, match=message):
+            scan_certified_graphs([graph], **arguments)
 
     def test_i2_with_k2_equality_matches_twin_check(self):
         for n in range(2, 7):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from biclique_lab import recognition
+from biclique_lab import graphs, recognition
 from biclique_lab.bicliques import biclique_graph, biclique_graph_with_limit
 from biclique_lab.graphs import (
     MAX_CANONICAL_ORDER,
@@ -17,6 +17,7 @@ from biclique_lab.graphs import (
     Graph,
     GraphError,
     _children,
+    _next_classes,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -136,15 +137,15 @@ class TestResumedSweep:
         recognition._SWEEPS.clear()
         assert search_preimage(path_graph(3), 6) is None
         assert resumed == calls  # two queries, one walk
-        # The walk: the false-twin-free classes on 2..4 vertices, every class
-        # on 5 (each tested against the cap, 3 bicliques), then the
-        # false-twin-free augmentations of the capped ones on 6 that pass
-        # canonical deletion.
-        capped = [p for p in enumerate_connected_graphs(5) if biclique_graph_with_limit(p, 3)[0] is not None]
-        children = [child for p in capped for child in _children(p)]
-        walk = [g for n in range(2, 5) for g in enumerate_connected_graphs(n) if _twin_free(g)]
-        walk += enumerate_connected_graphs(5)
-        walk += filter(_twin_free, children)
+        # The walk: every class on 2..5 vertices one class step from the
+        # capped classes below (3 bicliques), from K1, each tested against
+        # the cap; then the false-twin-free children of the capped ones on 5.
+        walk, capped = [], [Graph(1)]
+        for n in range(2, 6):
+            classes = _next_classes(capped)
+            walk += classes
+            capped = [g for g in classes if biclique_graph_with_limit(g, 3)[0] is not None]
+        walk += [child for p in capped for child in _children(p) if _twin_free(child)]
         assert resumed == walk
 
     def test_query_after_a_miss_computes_no_kb(self, monkeypatch):
@@ -214,7 +215,7 @@ class TestResumedSweep:
 
 class TestAgainstTheOracle:
     """The sweep's pruning (the biclique cap, false twins, canonical deletion
-    on the last order) against ``first_preimages_oracle``, which has none."""
+    at every order) against ``first_preimages_oracle``, which has none."""
 
     @pytest.mark.parametrize("max_g, max_h", [*((g, h) for h in range(2, 8) for g in range(2, h + 1)), (6, 8)])
     def test_positive_preimages(self, max_g, max_h):
@@ -241,10 +242,11 @@ class TestAgainstTheOracle:
 
 
 class TestLastOrder:
-    @pytest.mark.parametrize("max_h", [7, 8])
+    @pytest.mark.parametrize("max_h", [7, 8, 9])
     def test_is_never_generated(self, max_h, monkeypatch):
-        # The last host order comes from augmenting the capped classes one
-        # order below it, so generation stops there.
+        # Every host order comes from the capped classes one order below it,
+        # so the sweep asks generation for no order at all.  At bound 9 only
+        # the miss P3 runs: it reads its whole sweep in under a second.
         requested = []
 
         def recording(n):
@@ -252,8 +254,25 @@ class TestLastOrder:
             return enumerate_connected_graphs(n)
 
         monkeypatch.setattr(recognition, "enumerate_connected_graphs", recording)
-        positive_preimages(6, max_h)
-        assert sorted(set(requested)) == list(range(2, max_h))
+        monkeypatch.setattr(graphs, "enumerate_connected_graphs", recording)
+        if max_h < 9:
+            positive_preimages(6, max_h)
+        assert search_preimage(path_graph(3), max_h) is None
+        assert requested == []
+
+
+class TestCappedWalk:
+    """The claim each host order of the sweep rests on, bound 10's included:
+    one class step from the capped classes below, from K1, loses no class
+    within the cap (lemma (a) and canonical deletion)."""
+
+    @pytest.mark.parametrize("cap", range(2, 8))
+    def test_capped_classes_are_every_class_within_the_cap(self, cap):
+        capped = [Graph(1)]
+        for n in range(2, 8):
+            capped = [g for g in _next_classes(capped) if biclique_graph_with_limit(g, cap)[0] is not None]
+            expected = [g for g in enumerate_connected_graphs(n) if biclique_graph(g)[0].n <= cap]
+            assert capped == expected, (cap, n)
 
 
 def _relabelled_classes(rng: random.Random) -> list[Graph]:
@@ -324,10 +343,12 @@ class TestBuildCatalogue:
         ids=["catalogue-past-generation", "sweep-past-canonical-form", "sweep-below-2"],
     )
     def test_class_bound_fails_before_any_host(self, build, bounds, monkeypatch):
-        def no_hosts(n):
+        def no_hosts(*args):
             pytest.fail("a host was enumerated before the bounds were checked")
 
-        monkeypatch.setattr(recognition, "enumerate_connected_graphs", no_hosts)
+        # The sweep's hosts: class steps below the last order, children at it.
+        for name in ("_next_classes", "_children", "biclique_graph_with_limit", "enumerate_connected_graphs"):
+            monkeypatch.setattr(recognition, name, no_hosts)
         with pytest.raises(CapabilityError, match="max_g_order"):
             build(*bounds)
 
