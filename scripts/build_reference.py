@@ -4,10 +4,10 @@
 Runs the library's exhaustive preimage sweep over every connected host on
 up to 9 vertices with at most 6 bicliques, ``positive_preimages(6, 9)``,
 which steps from each order's capped classes to the next and generates no
-order.  The hosts on 9 vertices are mapped on one worker process per CPU
-(3.4-3.7 seconds on 2 CPUs; the serial sweep, ``biclique-lab catalogue
---max-h-order 9 --workers 1``, writes the same certificates in 3.3-4.6
-seconds).  It writes two files into the fixtures directory:
+order.  Each order is mapped on one worker process per CPU; the serial
+sweep, ``biclique-lab catalogue --max-h-order 9 --workers 1``, writes the
+same certificates.  Both times are in the README's size-regime table.  It
+writes two files into the fixtures directory:
 
 * ``biclique_graphs_up_to_6.g6``: one canonical graph6 per line, after a
   ``#`` header that records how the file was made;

@@ -14,16 +14,15 @@ and exposes the library as composable subcommands:
   conjectures  scan catalogue positives for conjecture counterexamples
                [--catalogue, --out, --i-max, --containment]
 
-Only ``catalogue`` runs worker processes, and only for the hosts on 9
-vertices (``--max-h-order 9``): ``--workers N`` (N >= 1, default the CPU
-count) sizes that pool, and N = 1 walks them in-process, with the same
-output.  No host order is generated: each is the augmentations, passing
-canonical deletion, of the classes one order below with at most
---max-g-order bicliques (for ``recognize``, the query's order).  In a fresh
-process ``catalogue`` takes 2.9-3.5 s at 6/9 on 2 workers, 3.3-4.6 s on one,
-and 0.5 s at 6/8; a ``recognize`` miss at bound 9 takes 0.4 s (2 vCPU).
-Every preimage printed or written is the host of least order, then of least
-canonical graph6.
+Only ``catalogue`` runs worker processes, and only at ``--max-h-order 9``,
+where every host order is mapped on the pool: ``--workers N`` (N >= 1,
+default the CPU count) sizes that pool, and N = 1 walks it in-process, with
+the same output.  No host order is generated: each is the augmentations,
+passing canonical deletion, of the classes one order below with at most
+--max-g-order bicliques (for ``recognize``, the query's order), each tested
+against that cap before its canonical form is taken.  The times at bound 9
+are in the README's size-regime table.  Every preimage printed or written
+is the host of least order, then of least canonical graph6.
 
 Exit codes: 0 clean; 1 parse/input errors; 2 capability errors (size bounds,
 for every per-graph command and for ``catalogue``); 3 reference-fixture

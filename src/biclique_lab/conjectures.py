@@ -139,11 +139,15 @@ def iter_generalized_twins(g: Graph, i_max: int | None = None, containment: str 
     dicts re-validate against the graph.  Another ``containment``, or an
     ``i_max`` below 2, is a ValueError at the call, before any ``next()``.
     """
+    _check_twin_arguments(i_max, containment)
+    return _generalized_twins(g, g.n if i_max is None else i_max, containment)
+
+
+def _check_twin_arguments(i_max: int | None, containment: str) -> None:
     if containment not in ("exact", "superset"):
         raise ValueError("containment must be 'exact' or 'superset'")
     if i_max is not None and i_max < 2:
         raise ValueError(f"i_max must be at least 2, got {i_max}")
-    return _generalized_twins(g, g.n if i_max is None else i_max, containment)
 
 
 def _generalized_twins(g: Graph, limit: int, containment: str):
@@ -326,7 +330,9 @@ def scan_certified_graphs(
     containment: str = "exact",
 ) -> list[ConjectureFinding]:
     """All three scans over certified biclique graphs; findings stream in a
-    deterministic order."""
+    deterministic order.  A bad ``i_max`` or ``containment`` is a ValueError
+    at the call, however many graphs there are."""
+    _check_twin_arguments(i_max, containment)
     findings = []
     for g in certified:
         findings.append(check_simplicial_helly(g, certified=True))

@@ -554,15 +554,12 @@ def _children(parent: Graph) -> Iterator[Graph]:
     return (_augmented(parent, mask) for mask in _augmentations(parent) if passes(mask))
 
 
-def _next_classes(parents: Iterable[Graph]) -> tuple[Graph, ...]:
-    """The canonically labelled classes of the ``_children`` of ``parents``, in canonical order."""
-    keys = {canonical_form(child) for parent in parents for child in _children(parent)}
-    return tuple(parse_graph6(key) for key in sorted(keys))
-
-
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[Graph, ...]:
-    return (Graph(1),) if n == 1 else _next_classes(_connected_classes(n - 1))
+    if n == 1:
+        return (Graph(1),)
+    keys = {canonical_form(child) for parent in _connected_classes(n - 1) for child in _children(parent)}
+    return tuple(parse_graph6(key) for key in sorted(keys))
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:

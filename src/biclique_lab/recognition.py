@@ -12,10 +12,11 @@ bicliques once, computes KB(H), and keeps the first host hitting each class
 of order <= ``max_g_order``: the least order, then the least canonical
 graph6.  It never calls ``enumerate_connected_graphs``: each host order is
 the children, augmentations that pass canonical deletion, of the capped
-classes one order below, from K1.  That loses no hit: deleting a greatest
-non-cut vertex from a capped class leaves a connected induced subgraph,
-capped too by lemma (a) (no connected induced subgraph has more bicliques
-than its host), so the class is a child of that subgraph's representative.
+classes one order below, from K1, each tested against the cap before its
+canonical form is taken.  That loses no hit: deleting a greatest non-cut
+vertex from a capped class leaves a connected induced subgraph, capped too
+by lemma (a) (no connected induced subgraph has more bicliques than its
+host), so the class is a capped child of that subgraph's representative.
 No host with false twins is a first hit, by lemma (b) below.
 Catalogue classes never hit are classified by the obstruction battery.
 ``search_preimage`` reads its sweep only as far as the queried class and
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import json
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import chain
@@ -56,7 +57,6 @@ from .graphs import (
     CapabilityError,
     Graph,
     _children,
-    _next_classes,
     _require_connected,
     canonical_form,
     enumerate_connected_graphs,
@@ -67,8 +67,8 @@ from .graphs import (
 from .obstructions import CHECK_NAMES, classify
 
 #: Host orders above this are out of the supported exhaustive regime: a time
-#: policy, as the sweep steps from order to order without generation.  At 9
-#: a serial ``catalogue`` 6/9 takes 3.3-4.6 s (2 vCPU).
+#: policy, as the sweep steps from order to order without generation.  The
+#: times at 9 are in the README's size-regime table.
 MAX_PREIMAGE_ORDER = 9
 
 BICLIQUE_GRAPH = "biclique-graph"
@@ -139,8 +139,7 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     The sweep behind ``positive_preimages``, keying g's order only, read up
     to the first host hitting g's class: exhaustive over isomorphism classes
     up to ``max_h_order``, so None means no preimage exists within the bound.
-    The hosts of the last order are all read before any of them is
-    returned, since their least host wins.
+    That host's order is read to its end first, since its least host wins.
     The sweep is suspended there and every class it passed is remembered, so
     a later query of the same order and bound resumes it instead of starting
     again; the first host of each class is the same either way.
@@ -164,54 +163,37 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
         return first[target]
 
 
-def _hits(
-    hosts: Iterable[Graph], orders: range, capped: list[Graph] | None = None
-) -> Iterator[tuple[Graph, str]]:
-    """(host, canonical KB) of each false-twin-free host whose KB has an
-    order in orders.  With ``capped``, every host is tested against the cap
-    and each with at most orders[-1] bicliques is appended to it."""
-    for host in hosts:
-        twin_free = len(set(host.adj)) == host.n
-        if not twin_free and capped is None:
+def _capped_children(orders: range, last: bool, parent: Graph) -> list[tuple[Graph, str | None]]:
+    """One task of the sweep: each child of ``parent`` with at most
+    orders[-1] bicliques, with the canonical KB if it is a hit (false-twin
+    free, a KB order in orders), else None.  At the ``last`` order a child
+    with false twins gets no KB: it is no first hit (lemma (b)) and no parent."""
+    out = []
+    for child in _children(parent):
+        twin_free = len(set(child.adj)) == child.n
+        if last and not twin_free:
             continue
-        kb, _ = biclique_graph_with_limit(host, orders[-1])
+        kb, _ = biclique_graph_with_limit(child, orders[-1])
         if kb is not None:
-            if capped is not None:
-                capped.append(host)
-            if twin_free and kb.n in orders:
-                yield host, canonical_form(kb)
-
-
-def _parent_hits(orders: range, parent: Graph) -> list[tuple[Graph, str]]:
-    """The hits among the children of one parent: one task."""
-    return list(_hits(_children(parent), orders))
+            out.append((child, canonical_form(kb) if twin_free and kb.n in orders else None))
+    return out
 
 
 def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Graph, str]]:
-    """The preimage sweep: ``_hits`` of every host class on 2..max_h_order
-    vertices with at most orders[-1] bicliques, the first host of each KB
-    class first.
+    """The preimage sweep: (first host, canonical KB) of each KB class of an
+    order in orders hit by a connected host on 2..max_h_order vertices with
+    at most orders[-1] bicliques, in order of the host's order, then of its
+    canonical graph6.
 
-    Each order's hosts are the children (``_children``) of the capped
-    classes one order below, from K1.  Below max_h_order they are taken as
-    classes (``_next_classes``, generation's step), walked in canonical
-    order, and each is tested against the cap, false twins or not, since a
-    false-twin-free host may have a parent with false twins.  The capped
-    classes of order max_h_order - 1 are mapped one task each, on a process
-    pool when more than one worker is asked for at MAX_PREIMAGE_ORDER and
-    in-process otherwise; false-twin children get no KB (lemma (b) above).
-    Each KB class not hit below the last order gets its least canonical host
-    there, and these are yielded in canonical order: what walking the
-    classes of the last order would yield first for each class.
+    One step at every order: one task (``_capped_children``) per capped
+    class one order below, from K1, then one reduction.  The canonical forms
+    of the capped children are the next order's classes; a child is capped
+    before its form is taken, so no uncapped child is canonicalised, and at
+    the last order only the first hits are.  Each KB class first hit at the
+    order keeps its least canonical host, and these are yielded in canonical
+    order.  The tasks run on a process pool when more than one worker is
+    asked for at MAX_PREIMAGE_ORDER, in-process otherwise.
     """
-    capped = [Graph(1)]  # the capped classes of the order below, from K1
-    yielded: set[str] = set()
-    for _ in range(2, max_h_order):
-        hosts, capped = _next_classes(capped), []
-        for host, key in _hits(hosts, orders, capped):
-            yielded.add(key)
-            yield host, key
-    task = partial(_parent_hits, orders)
     pool = None
     if workers > 1 and max_h_order == MAX_PREIMAGE_ORDER:
         # Imported here, so a sweep that starts no pool loads no pool modules.
@@ -219,17 +201,27 @@ def _swept(orders: range, max_h_order: int, workers: int) -> Iterator[tuple[Grap
         from multiprocessing import get_context
 
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
-    least: dict[str, str] = {}  # KB class first hit at the last order -> its least host
+    capped = [Graph(1)]  # the capped classes of the order below, from K1
+    yielded: set[str] = set()
     try:
-        for host, key in chain.from_iterable((pool.map if pool else map)(task, capped)):
-            if key not in yielded:
-                form = canonical_form(host)
-                least[key] = min(form, least.get(key, form))
+        for n in range(2, max_h_order + 1):
+            task = partial(_capped_children, orders, n == max_h_order)
+            forms: set[str] = set()
+            least: dict[str, str] = {}  # KB class first hit at order n -> its least host
+            for child, key in chain.from_iterable((pool.map if pool else map)(task, capped)):
+                new = key is not None and key not in yielded
+                if new or n < max_h_order:  # the last order's classes are no parents
+                    form = canonical_form(child)
+                    forms.add(form)
+                    if new:
+                        least[key] = min(form, least.get(key, form))
+            capped = [parse_graph6(form) for form in sorted(forms)]
+            yielded.update(least)
+            for form, key in sorted((form, key) for key, form in least.items()):
+                yield parse_graph6(form), key
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)  # an interrupted sweep waits for no queued task
-    for form, key in sorted((form, key) for key, form in least.items()):
-        yield parse_graph6(form), key
 
 
 def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> dict[str, Graph]:

@@ -99,8 +99,19 @@ class TestGeneralizedTwins:
             iter_generalized_twins(graph, **arguments)
         with pytest.raises(ValueError, match=message):
             check_generalized_twins(graph, **arguments)
+
+    @pytest.mark.parametrize(
+        "graphs", [[], [DIAMOND.graph], [CROWN.graph]], ids=["empty", "diamond", "crown"]
+    )
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [({"containment": "bogus"}, "containment"), ({"i_max": 1}, "i_max")],
+        ids=["containment", "i_max"],
+    )
+    def test_scan_rejects_bad_arguments_on_any_list(self, graphs, arguments, message):
+        # Checked at the call, so an empty list accepts no more than a full one.
         with pytest.raises(ValueError, match=message):
-            scan_certified_graphs([graph], **arguments)
+            scan_certified_graphs(graphs, **arguments)
 
     def test_i2_with_k2_equality_matches_twin_check(self):
         for n in range(2, 7):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from biclique_lab.graphs import (
     Graph,
     GraphError,
     _children,
-    _next_classes,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -137,14 +137,16 @@ class TestResumedSweep:
         recognition._SWEEPS.clear()
         assert search_preimage(path_graph(3), 6) is None
         assert resumed == calls  # two queries, one walk
-        # The walk: every class on 2..5 vertices one class step from the
-        # capped classes below (3 bicliques), from K1, each tested against
-        # the cap; then the false-twin-free children of the capped ones on 5.
+        # The walk: at each order on 2..5 the children of each capped class
+        # below (3 bicliques), from K1, the classes in canonical order, each
+        # child tested against the cap; then the false-twin-free children of
+        # the capped classes on 5.
         walk, capped = [], [Graph(1)]
         for n in range(2, 6):
-            classes = _next_classes(capped)
-            walk += classes
-            capped = [g for g in classes if biclique_graph_with_limit(g, 3)[0] is not None]
+            children = [child for p in capped for child in _children(p)]
+            walk += children
+            forms = {canonical_form(c) for c in children if biclique_graph_with_limit(c, 3)[0] is not None}
+            capped = [parse_graph6(form) for form in sorted(forms)]
         walk += [child for p in capped for child in _children(p) if _twin_free(child)]
         assert resumed == walk
 
@@ -263,16 +265,40 @@ class TestLastOrder:
 
 class TestCappedWalk:
     """The claim each host order of the sweep rests on, bound 10's included:
-    one class step from the capped classes below, from K1, loses no class
-    within the cap (lemma (a) and canonical deletion)."""
+    the classes of the capped children of the capped classes below, from K1,
+    are every class within the cap (lemma (a) and canonical deletion)."""
 
     @pytest.mark.parametrize("cap", range(2, 8))
     def test_capped_classes_are_every_class_within_the_cap(self, cap):
         capped = [Graph(1)]
         for n in range(2, 8):
-            capped = [g for g in _next_classes(capped) if biclique_graph_with_limit(g, cap)[0] is not None]
+            # The sweep's own task below the last order: capped children only.
+            task = partial(recognition._capped_children, range(cap, cap + 1), False)
+            forms = {canonical_form(child) for p in capped for child, _ in task(p)}
+            capped = [parse_graph6(form) for form in sorted(forms)]
             expected = [g for g in enumerate_connected_graphs(n) if biclique_graph(g)[0].n <= cap]
             assert capped == expected, (cap, n)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [partial(positive_preimages, 3, 8), partial(search_preimage, path_graph(3), 8)],
+        ids=["catalogue", "query"],
+    )
+    def test_only_capped_hosts_are_canonicalised(self, sweep, monkeypatch):
+        # The cap (3) is tested before a host's canonical form is taken.  A
+        # graph with more vertices than the cap is no KB here, so it is a
+        # host, and it must have at most 3 bicliques.
+        forms = []
+
+        def recording(g):
+            forms.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(recognition, "canonical_form", recording)
+        sweep()
+        hosts = [g for g in forms if g.n > 3]
+        assert len(hosts) > 50
+        assert all(biclique_graph(g)[0].n <= 3 for g in hosts)
 
 
 def _relabelled_classes(rng: random.Random) -> list[Graph]:
@@ -346,8 +372,8 @@ class TestBuildCatalogue:
         def no_hosts(*args):
             pytest.fail("a host was enumerated before the bounds were checked")
 
-        # The sweep's hosts: class steps below the last order, children at it.
-        for name in ("_next_classes", "_children", "biclique_graph_with_limit", "enumerate_connected_graphs"):
+        # The sweep's hosts are children, each tested against the cap.
+        for name in ("_children", "biclique_graph_with_limit", "enumerate_connected_graphs"):
             monkeypatch.setattr(recognition, name, no_hosts)
         with pytest.raises(CapabilityError, match="max_g_order"):
             build(*bounds)
@@ -481,8 +507,8 @@ class TestDeterminism:
         assert result.stdout.decode().strip() == "[]"
 
     def test_pool_stretch_agrees_with_the_in_process_walk(self, monkeypatch):
-        # The pool maps the capped parents of the last order, one task each.
-        # With the pool's bound at 7 those are the capped classes on 6
+        # The pool maps the capped parents of every order, one task each.
+        # With the pool's bound at 7 the last are the capped classes on 6
         # vertices: seconds, not minutes.
         monkeypatch.setattr(recognition, "MAX_PREIMAGE_ORDER", 7)
         orders = range(2, 7)
