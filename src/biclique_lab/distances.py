@@ -59,10 +59,12 @@ def biclique_distance(g: Graph, family: BicliqueFamily, i: int, j: int) -> int:
     An overlapping pair is one mask test; otherwise a multi-source BFS
     from B_i, stopped at the first layer meeting B_j.
     """
-    family.check_index(i)
-    family.check_index(j)
-    source = family[i].mask
-    target = family[j].mask
+    bicliques = family.bicliques
+    size = len(bicliques)
+    if not (0 <= i < size and 0 <= j < size):
+        raise GraphError(f"biclique index {j if 0 <= i < size else i} out of range")
+    source = bicliques[i].mask
+    target = bicliques[j].mask
     if source & target:
         return 0
     for d, layer in enumerate(_layers(g, source)):

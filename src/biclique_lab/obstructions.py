@@ -28,6 +28,15 @@ The battery:
 
 Open vs closed neighbourhoods are load-bearing: twin_k2 compares open
 neighbourhoods, helly_degree2 intersects closed ones.
+
+p3_diamond_gem and gem_wing only read the induced P3s in no diamond, found
+in bulk by ``_diamond_free_p3s``: one mask sweep per non-edge uw over the
+common neighbours of u and w.  On dense graphs, such as biclique graphs,
+almost every P3 lies in a diamond, so the sweeps are short and the few hits
+are all the checks read.  Every non-edge is swept, even where u and w share
+no neighbour; on long sparse graphs that is most of them, but restricting w
+to the two-hop mask of u costs more on the dense graphs the battery mostly
+sees.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from operator import itemgetter
 
 from .graphs import Graph, _bits, _require_connected, cut_vertices, write_graph6
 from .patterns import FORBIDDEN_PATTERNS
@@ -100,21 +110,47 @@ def _gem_wings(g: Graph, u: int, v: int, w: int):
             yield z1, z2
 
 
+def _diamond_free_p3s(g: Graph) -> list[tuple[int, int, int]]:
+    """The induced P3s u-v-w that lie in no diamond, in ``induced_p3s`` order.
+
+    A P3 u-v-w lies in a diamond exactly when v has a neighbour in
+    C = N(u) & N(w), so the centres of a non-edge uw are the isolated
+    vertices of G[C].  One sweep per non-edge finds them: the lowest x left
+    in C is a centre if it has no neighbour in C, and otherwise x and its
+    neighbours in C all leave at once, none of them isolated.  Cost: one
+    mask sweep per non-edge, a few steps on the dense graphs the battery
+    mostly sees, where almost every P3 lies in a diamond.
+    """
+    adj = g.adj
+    full = g.vertex_mask()
+    found = []
+    for u in range(g.n):
+        for w in _bits(full >> (u + 1) << (u + 1) & ~adj[u]):
+            common = adj[u] & adj[w]
+            left = common
+            while left:
+                x = (left & -left).bit_length() - 1
+                inside = adj[x] & common
+                if not inside:
+                    found.append((u, x, w))
+                left &= ~(1 << x | inside)
+    # found is in (u, w, v) order, so a stable sort on v gives (v, u, w).
+    found.sort(key=itemgetter(1))
+    return found
+
+
 def check_p3_diamond_gem(g: Graph) -> CheckResult:
     """The first induced P3 u-v-w, in ``induced_p3s`` order, with no common
-    neighbour of all three (no diamond) and no gem wings fails the check."""
+    neighbour of all three (no diamond) and no gem wings fails the check.
+
+    Only the diamond-free P3s are read, found by ``_diamond_free_p3s`` in
+    one mask sweep per non-edge; each then costs one gem-wing search."""
     _require_connected(g)
-    adj = g.adj
-    for v in range(g.n):
-        nb = adj[v]
-        for u in _bits(nb):
-            common = adj[u] & nb
-            for w in _bits(nb >> (u + 1) << (u + 1) & ~adj[u]):
-                if adj[w] & common or any(_gem_wings(g, u, v, w)):
-                    continue
-                return CheckResult(
-                    Verdict.FAIL, witness=(u, v, w), note="induced P3 in no diamond or gem"
-                )
+    for u, v, w in _diamond_free_p3s(g):
+        if not any(_gem_wings(g, u, v, w)):
+            return CheckResult(
+                Verdict.FAIL, witness=(u, v, w), note="induced P3 in no diamond or gem"
+            )
     return _PASS
 
 
@@ -302,35 +338,34 @@ def check_gem_wing(g: Graph) -> CheckResult:
     over v1.  A single contradicted completion proves nothing when others
     exist (the guaranteed completion may be another one), so this fails only
     when the P3 has at least one completion and all of them are contradicted.
+
+    Only the diamond-free P3s are read, found by ``_diamond_free_p3s`` in
+    one mask sweep per non-edge and taken in both orientations, in
+    (v2, v1, v3) order; each then costs one gem-wing search.
     """
     _require_connected(g)
     adj = g.adj
     full = g.vertex_mask()
-    for v2 in range(g.n):
-        nb = adj[v2]
-        for v1 in _bits(nb):
-            common = adj[v1] & nb
-            for v3 in _bits(nb & ~adj[v1] & ~(1 << v1)):
-                if adj[v3] & common:
-                    continue
-                witness = None
-                for v4, v5 in _gem_wings(g, v1, v2, v3):
-                    gem_mask = (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4) | (1 << v5)
-                    outside = full & ~gem_mask & ~adj[v1] & adj[v4]
-                    violator = next(
-                        (v for v in _bits(outside) if not has_diamond_with_pair(g, v, v1)), None
-                    )
-                    if violator is None:
-                        break
-                    if witness is None:
-                        witness = (v1, v2, v3, v4, v5, violator)
-                else:
-                    if witness is not None:
-                        return CheckResult(
-                            Verdict.FAIL,
-                            witness=witness,
-                            note="vertex meets the gem wing while diamond-free from v1",
-                        )
+    oriented = sorted(p for u, v, w in _diamond_free_p3s(g) for p in ((v, u, w), (v, w, u)))
+    for v2, v1, v3 in oriented:
+        witness = None
+        for v4, v5 in _gem_wings(g, v1, v2, v3):
+            gem_mask = (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4) | (1 << v5)
+            outside = full & ~gem_mask & ~adj[v1] & adj[v4]
+            violator = next(
+                (v for v in _bits(outside) if not has_diamond_with_pair(g, v, v1)), None
+            )
+            if violator is None:
+                break
+            if witness is None:
+                witness = (v1, v2, v3, v4, v5, violator)
+        else:
+            if witness is not None:
+                return CheckResult(
+                    Verdict.FAIL,
+                    witness=witness,
+                    note="vertex meets the gem wing while diamond-free from v1",
+                )
     return _PASS
 
 

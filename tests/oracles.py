@@ -263,6 +263,11 @@ def _induces(g: Graph, vertices: tuple[int, ...], edges: set[tuple[int, int]]) -
 _GEM_EDGES = {(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)}
 
 
+def _induces_diamond(g: Graph, quad: tuple[int, ...]) -> bool:
+    """K4 minus an edge, the diamond: five of the six pairs are edges."""
+    return sum(g.has_edge(a, b) for a, b in combinations(quad, 2)) == 5
+
+
 def p3_diamond_gem_oracle(g: Graph) -> tuple[int, int, int] | None:
     """The first induced P3 u-v-w (by v, then u, then w > u) lying in no
     induced diamond and in no induced gem whose P4 ends are u and w with hub
@@ -274,17 +279,62 @@ def p3_diamond_gem_oracle(g: Graph) -> tuple[int, int, int] | None:
                 if not (g.has_edge(u, v) and g.has_edge(v, w)) or g.has_edge(u, w):
                     continue
                 others = [x for x in range(n) if x not in (u, v, w)]
-                # K4 minus an edge, the diamond: five of the six pairs
-                in_diamond = any(
-                    sum(g.has_edge(a, b) for a, b in combinations((u, v, w, x), 2)) == 5
-                    for x in others
-                )
+                in_diamond = any(_induces_diamond(g, (u, v, w, x)) for x in others)
                 in_gem = any(
                     _induces(g, (u, z1, z2, w, v), _GEM_EDGES)
                     for z1, z2 in permutations(others, 2)
                 )
                 if not (in_diamond or in_gem):
                     return u, v, w
+    return None
+
+
+def gem_wing_oracle(g: Graph) -> tuple[int, ...] | None:
+    """The gem-wing rule from its definition, or None if nothing breaks it.
+
+    The induced P3s v1-v2-v3 are taken in both orientations, by v2, then
+    v1, then v3, and kept when no 4-vertex superset induces a diamond.  A
+    P3's completions are the 5-vertex supersets inducing a gem with P4
+    v1-v4-v5-v3 and hub v2, by (v4, v5).  A violator of a completion lies
+    outside it, is adjacent to v4 but not to v1, and shares no induced
+    diamond with v1 (every 4-vertex superset of the pair tested).  The
+    first P3 with a completion, every one of them with a violator, gives
+    (v1, v2, v3, v4, v5, least violator) for its first completion.
+    """
+    n = g.n
+
+    def share_diamond(a: int, b: int) -> bool:
+        rest = [x for x in range(n) if x not in (a, b)]
+        return any(_induces_diamond(g, (a, b, x, y)) for x, y in combinations(rest, 2))
+
+    for v2 in range(n):
+        for v1 in range(n):
+            for v3 in range(n):
+                if v1 == v3 or g.has_edge(v1, v3):
+                    continue
+                if not (g.has_edge(v1, v2) and g.has_edge(v2, v3)):
+                    continue
+                others = [x for x in range(n) if x not in (v1, v2, v3)]
+                if any(_induces_diamond(g, (v1, v2, v3, x)) for x in others):
+                    continue
+                completions = [
+                    (v4, v5)
+                    for v4, v5 in permutations(others, 2)
+                    if _induces(g, (v1, v4, v5, v3, v2), _GEM_EDGES)
+                ]
+                violators = [
+                    [
+                        v
+                        for v in others
+                        if v not in (v4, v5)
+                        and g.has_edge(v, v4)
+                        and not g.has_edge(v, v1)
+                        and not share_diamond(v, v1)
+                    ]
+                    for v4, v5 in completions
+                ]
+                if completions and all(violators):
+                    return (v1, v2, v3, *completions[0], violators[0][0])
     return None
 
 

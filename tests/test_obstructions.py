@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,14 @@ from biclique_lab.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_connected_graphs,
+    is_connected,
     path_graph,
     permuted,
 )
 from biclique_lab.obstructions import (
     CHECK_NAMES,
     Verdict,
+    _diamond_free_p3s,
     check_biconnectivity_min_degree,
     check_degree2_bound,
     check_forbidden_subgraphs,
@@ -26,6 +30,8 @@ from biclique_lab.obstructions import (
     classify,
     find_constrained_induced_embedding,
     has_diamond_with_pair,
+    induced_p3s,
+    p3_in_diamond,
 )
 from biclique_lab.patterns import (
     CROWN,
@@ -38,8 +44,42 @@ from biclique_lab.patterns import (
     X1,
 )
 
-from oracles import non_helly_submask_oracle, p3_diamond_gem_oracle
+from oracles import gem_wing_oracle, host_kbs, non_helly_submask_oracle, p3_diamond_gem_oracle
 from strategies import connected_graphs
+
+
+def _classes_to_7():
+    """Every connected class on 2..7 vertices, in generation order."""
+    return [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+
+
+def _connected_complements_to_7():
+    """The complements of the classes on 2..7 vertices that are connected:
+    sparse graphs, where most induced P3s lie in no diamond."""
+    complements = (
+        Graph(g.n, [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)])
+        for g in _classes_to_7()
+    )
+    return [h for h in complements if is_connected(h)]
+
+
+def _assert_matches_oracle(check, oracle, graphs):
+    """Verdict and witness of ``check`` equal the oracle's on every graph."""
+    for g in graphs:
+        witness = oracle(g)
+        expected = (Verdict.PASS, None) if witness is None else (Verdict.FAIL, witness)
+        result = check(g)
+        assert (result.verdict, result.witness) == expected, g
+
+
+class TestDiamondFreeP3s:
+    def test_matches_the_per_p3_walk(self):
+        # every class, its connected complement and every KB of a host on
+        # 2..7 vertices: dense and sparse graphs and the battery's own inputs
+        kbs = [kb for n in range(2, 8) for _, kb in host_kbs(n)]
+        for g in [*_classes_to_7(), *_connected_complements_to_7(), *kbs]:
+            expected = [p for p in induced_p3s(g) if not p3_in_diamond(g, *p)]
+            assert _diamond_free_p3s(g) == expected, g
 
 
 class TestP3DiamondGem:
@@ -62,12 +102,11 @@ class TestP3DiamondGem:
             check_p3_diamond_gem(Graph(4, [(0, 1), (2, 3)]))
 
     def test_matches_the_literal_oracle_to_order_7(self):
-        for n in range(2, 8):
-            for g in enumerate_connected_graphs(n):
-                witness = p3_diamond_gem_oracle(g)
-                expected = (Verdict.PASS, None) if witness is None else (Verdict.FAIL, witness)
-                result = check_p3_diamond_gem(g)
-                assert (result.verdict, result.witness) == expected, g
+        _assert_matches_oracle(check_p3_diamond_gem, p3_diamond_gem_oracle, _classes_to_7())
+
+    def test_matches_the_literal_oracle_on_connected_complements(self):
+        graphs = _connected_complements_to_7()
+        _assert_matches_oracle(check_p3_diamond_gem, p3_diamond_gem_oracle, graphs)
 
 
 class TestBiconnectivity:
@@ -211,6 +250,20 @@ class TestGemWing:
 
         kb, _ = biclique_graph(parse_graph6("G?Cyt?"))
         assert check_gem_wing(kb).verdict is Verdict.PASS
+
+    def test_matches_the_literal_oracle_to_order_7(self):
+        # every class and one seeded relabelling of each, so the witness
+        # order is tested away from canonical labels too
+        rng = random.Random(7)
+        graphs = []
+        for g in _classes_to_7():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs += [g, permuted(g, perm)]
+        _assert_matches_oracle(check_gem_wing, gem_wing_oracle, graphs)
+
+    def test_matches_the_literal_oracle_on_connected_complements(self):
+        _assert_matches_oracle(check_gem_wing, gem_wing_oracle, _connected_complements_to_7())
 
 
 class TestDiamondWithPair:
