@@ -8,7 +8,8 @@ and exposes the library as composable subcommands:
   kb           emit KB(G) as graph6 [--legend]
   distance     per-pair biclique distance table [--format tsv|json]
   check        obstruction battery, one JSON report per graph [--invert-exit]
-  recognize    exhaustive preimage search up to a bound [--max-h-order]
+  recognize    exhaustive preimage search up to a bound [--max-h-order],
+               which is checked once, before any input is read
   catalogue    build and persist the small-order catalogue [--max-g-order,
                --max-h-order, --out, --fixture, --workers, --strict]
   conjectures  scan catalogue positives for conjecture counterexamples
@@ -62,6 +63,7 @@ from .recognition import (
     BICLIQUE_GRAPH,
     build_catalogue,
     check_catalogue_bounds,
+    check_host_bound,
     compare_with_reference,
     default_reference_path,
     load_catalogue,
@@ -214,6 +216,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
+    check_host_bound(args.max_h_order)
+
     def emit(graph: Graph) -> None:
         host = search_preimage(graph, args.max_h_order)
         found = "none" if host is None else write_graph6(host)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .graphs import Graph, CapabilityError, _bits, _require_connected, write_graph6
-from .obstructions import _is_diamond, _jsonable
+from .obstructions import _is_diamond, _record
 
 #: Full-subfamily Helly checks are exponential in the family size.
 MAX_HELLY_FAMILY = 16
@@ -44,17 +44,7 @@ class ConjectureFinding:
     note: str | None = None
 
     def to_json(self) -> dict:
-        data = {
-            "schema": "conjecture-finding/1",
-            "conjecture": self.conjecture,
-            "graph6": self.graph6,
-            "verdict": self.verdict,
-        }
-        if self.witness is not None:
-            data["witness"] = _jsonable(self.witness)
-        if self.note:
-            data["note"] = self.note
-        return data
+        return _record("conjecture-finding/1", self)
 
 
 def simplicial_vertices(g: Graph) -> tuple[int, ...]:
@@ -217,16 +207,10 @@ def _rotation_extension_cycle(g: Graph) -> tuple[int, ...] | None:
     adj = g.adj
     full = (1 << n) - 1
     path = [0]
-    position = [-1] * n
-    position[0] = 0
     visited = 1
 
     def rotate_to(i: int) -> None:
-        tail = path[i + 1 :]
-        tail.reverse()
-        path[i + 1 :] = tail
-        for offset, vertex in enumerate(tail, start=i + 1):
-            position[vertex] = offset
+        path[i + 1 :] = path[:i:-1]
 
     for _ in range(4 * n * n):
         end = path[-1]
@@ -234,21 +218,20 @@ def _rotation_extension_cycle(g: Graph) -> tuple[int, ...] | None:
         if ext:
             w = (ext & -ext).bit_length() - 1
             path.append(w)
-            position[w] = len(path) - 1
             visited |= 1 << w
             continue
         if visited == full:
             if adj[end] & 1:
                 return tuple(path)
             for u in _bits(adj[end]):
-                i = position[u]
+                i = path.index(u)
                 if i + 1 < len(path) and adj[path[i + 1]] & 1:
                     rotate_to(i)
                     return tuple(path)
             return None
         progressed = False
         for u in _bits(adj[end]):
-            i = position[u]
+            i = path.index(u)
             if i + 1 >= len(path):
                 continue
             if adj[path[i + 1]] & ~visited:

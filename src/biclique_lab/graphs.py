@@ -298,8 +298,19 @@ def distance(g: Graph, u: int, v: int) -> int | float:
     return INFINITY
 
 
+def _components(g: Graph, within: int) -> list[int]:
+    """The vertex masks of the components of the subgraph induced on ``within``;
+    the layers are disjoint, so their sum is the component of the least vertex."""
+    parts = []
+    while within:
+        part = sum(_layers(g, within & -within, within))
+        parts.append(part)
+        within ^= part
+    return parts
+
+
 def is_connected(g: Graph) -> bool:
-    return _connected_within(g, g.vertex_mask())
+    return len(_components(g, g.vertex_mask())) <= 1
 
 
 def _require_connected(g: Graph) -> None:
@@ -307,22 +318,12 @@ def _require_connected(g: Graph) -> None:
         raise GraphError("the graph must be connected")
 
 
-def _connected_within(g: Graph, mask: int) -> bool:
-    # Is the induced subgraph on the ``mask`` vertices connected?  The layers
-    # are disjoint, so their sum is the component of the least vertex.
-    return sum(_layers(g, mask & -mask, mask)) == mask
-
-
 def cut_vertices(g: Graph) -> tuple[int, ...]:
     """Vertices whose removal disconnects the graph (empty for n <= 2)."""
     if g.n <= 2 or not is_connected(g):
         return ()
     full = g.vertex_mask()
-    cuts = []
-    for v in range(g.n):
-        if not _connected_within(g, full ^ (1 << v)):
-            cuts.append(v)
-    return tuple(cuts)
+    return tuple(v for v in range(g.n) if len(_components(g, full ^ 1 << v)) > 1)
 
 
 def is_biconnected(g: Graph) -> bool:
@@ -496,16 +497,6 @@ def _augmented(parent: Graph, mask: int) -> Graph:
     """``parent`` plus a last vertex joined to the ``mask`` vertices."""
     n = parent.n
     return Graph._raw(n + 1, (*(a | (mask >> u & 1) << n for u, a in enumerate(parent.adj)), mask))
-
-
-def _components(g: Graph, within: int) -> list[int]:
-    """The vertex masks of the components of the subgraph induced on ``within``."""
-    parts = []
-    while within:
-        part = sum(_layers(g, within & -within, within))
-        parts.append(part)
-        within ^= part
-    return parts
 
 
 def _last_vertex_is_greatest(parent: Graph) -> Callable[[int], bool]:

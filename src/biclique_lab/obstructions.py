@@ -42,7 +42,7 @@ sees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import combinations
 from operator import itemgetter
@@ -80,6 +80,13 @@ def _jsonable(value):
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     return value
+
+
+def _record(schema: str, item) -> dict:
+    """The JSON record of a dataclass ``item``: ``schema``, then each field
+    that is set, in declaration order, with tuples as lists."""
+    values = ((f.name, getattr(item, f.name)) for f in fields(item))
+    return {"schema": schema, **{name: _jsonable(v) for name, v in values if v is not None}}
 
 
 _PASS = CheckResult(Verdict.PASS)

@@ -56,6 +56,7 @@ from .graphs import (
     MAX_GENERATION_ORDER,
     CapabilityError,
     Graph,
+    Graph6Error,
     _children,
     _require_connected,
     canonical_form,
@@ -64,7 +65,7 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
-from .obstructions import CHECK_NAMES, classify
+from .obstructions import CHECK_NAMES, _record, classify
 
 #: Host orders above this are out of the supported exhaustive regime: a time
 #: policy, as the sweep steps from order to order without generation.  The
@@ -107,8 +108,7 @@ class CatalogueEntry:
         return parse_graph6(self.graph6)
 
     def to_json(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {"schema": "catalogue-entry/1", **{k: v for k, v in data.items() if v is not None}}
+        return _record("catalogue-entry/1", self)
 
     @classmethod
     def from_json(cls, data: dict) -> "CatalogueEntry":
@@ -117,7 +117,7 @@ class CatalogueEntry:
         )
 
 
-def _check_host_bound(max_h_order: int) -> None:
+def check_host_bound(max_h_order: int) -> None:
     if not 2 <= max_h_order <= MAX_PREIMAGE_ORDER:
         raise CapabilityError(f"preimage search supports 2 <= max_h_order <= {MAX_PREIMAGE_ORDER}")
 
@@ -125,7 +125,7 @@ def _check_host_bound(max_h_order: int) -> None:
 def check_catalogue_bounds(max_g_order: int, max_h_order: int) -> None:
     """CapabilityError unless ``build_catalogue`` supports these bounds,
     before any class is generated or host enumerated."""
-    _check_host_bound(max_h_order)
+    check_host_bound(max_h_order)
     if not 2 <= max_g_order <= MAX_GENERATION_ORDER:
         raise CapabilityError(f"max_g_order must be in 2..{MAX_GENERATION_ORDER}, got {max_g_order}")
     if max_h_order < max_g_order:
@@ -144,7 +144,7 @@ def search_preimage(g: Graph, max_h_order: int) -> Graph | None:
     a later query of the same order and bound resumes it instead of starting
     again; the first host of each class is the same either way.
     """
-    _check_host_bound(max_h_order)
+    check_host_bound(max_h_order)
     _require_connected(g)
     target = canonical_form(g)  # before the sweep, so too large a g fails at once
     sweep_id = (g.n, max_h_order)
@@ -233,7 +233,7 @@ def positive_preimages(max_g_order: int, max_h_order: int, workers: int = 1) -> 
     workers.  It generates no KB class, so max_g_order may pass max_h_order
     and MAX_GENERATION_ORDER: each KB hit is keyed by its canonical form.
     """
-    _check_host_bound(max_h_order)
+    check_host_bound(max_h_order)
     if not 2 <= max_g_order <= MAX_CANONICAL_ORDER:
         raise CapabilityError(f"max_g_order must be in 2..{MAX_CANONICAL_ORDER}, got {max_g_order}")
     out: dict[str, Graph] = {}
@@ -294,23 +294,26 @@ def build_catalogue(
 
 
 def verify_entry(entry: CatalogueEntry) -> bool:
-    """Re-derive the entry's evidence from scratch, its order included."""
+    """Re-derive the entry's evidence from scratch, its order included.
+    Malformed evidence reads False; a size beyond the supported regime
+    raises ``CapabilityError``."""
     g = entry.graph
-    if entry.order != g.n:
+    if entry.order != g.n or not is_connected(g):
         return False
     if entry.classification == BICLIQUE_GRAPH:
         if entry.preimage_graph6 is None:
             return False
-        host = parse_graph6(entry.preimage_graph6)
-        if not is_connected(host) or host.n > entry.searched_max_h:
+        try:
+            host = parse_graph6(entry.preimage_graph6)
+        except Graph6Error:
+            return False
+        if host.n < 2 or not is_connected(host) or host.n > entry.searched_max_h:
             return False
         kb, _ = biclique_graph(host)
         return kb.n == g.n and canonical_form(kb) == canonical_form(g)
     if entry.classification == NOT_BICLIQUE_GRAPH:
-        if not entry.obstruction:
-            return False
-        report = classify(g)
-        return report.checks[entry.obstruction["check"]].failed
+        check = (entry.obstruction or {}).get("check")
+        return check in CHECK_NAMES and classify(g).checks[check].failed
     if entry.classification == UNKNOWN:
         return not classify(g).excluded and entry.searched_max_h >= 2
     return False

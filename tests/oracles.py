@@ -111,6 +111,42 @@ def hamiltonian_oracle(g: Graph) -> bool:
     return False
 
 
+def _neighbour_sets(g: Graph) -> list[set[int]]:
+    return [{b for b in range(g.n) if g.has_edge(a, b)} for a in range(g.n)]
+
+
+def _component_count(neighbours: list[set[int]], removed: int | None = None) -> int:
+    """Components of the graph minus the ``removed`` vertex: a queue BFS
+    over neighbour sets from each vertex not yet reached."""
+    reached = {removed}
+    count = 0
+    for source in range(len(neighbours)):
+        if source in reached:
+            continue
+        count += 1
+        reached.add(source)
+        queue = [source]
+        for a in queue:
+            for b in neighbours[a] - reached:
+                reached.add(b)
+                queue.append(b)
+    return count
+
+
+def components_oracle(g: Graph) -> int:
+    """The number of components of g."""
+    return _component_count(_neighbour_sets(g))
+
+
+def cut_vertices_oracle(g: Graph) -> tuple[int, ...]:
+    """The vertices of a connected g whose removal leaves more than one
+    component; none for a disconnected g, by the library's convention."""
+    neighbours = _neighbour_sets(g)
+    if _component_count(neighbours) > 1:
+        return ()
+    return tuple(v for v in range(g.n) if _component_count(neighbours, v) > 1)
+
+
 def connected_classes_oracle(n: int, canonical) -> set[str]:
     """All connected isomorphism classes by brute force over labeled graphs,
     deduplicated with the supplied canonical-form function."""

@@ -293,7 +293,7 @@ def test_criterion_5_crown_audit(catalogue68):
     a biclique graph, and the only one of its order.
 
     It is not the only such graph on up to 6 vertices: five more exist at
-    order 6 (see the decisions ledger), each certified by a proved check, so
+    order 6 (the frozen list below), each certified by a proved check, so
     uniqueness holds at the crown's order, not across the whole catalogue.
     """
     negatives_passing_p3 = sorted(

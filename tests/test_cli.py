@@ -268,6 +268,13 @@ class TestRecognizeCommand:
         )
         assert code == EXIT_CAPABILITY
 
+    @pytest.mark.parametrize("stdin", ["", "Bw\nBo\nBw\n"], ids=["empty", "three-lines"])
+    def test_bound_checked_once_before_input(self, capsys, monkeypatch, stdin):
+        code, out, err = run(
+            capsys, ["recognize", "--max-h-order", "99"], stdin=stdin, monkeypatch=monkeypatch
+        )
+        assert (code, out, len(err.splitlines())) == (EXIT_CAPABILITY, "", 1)
+
 
 class TestCatalogueCommand:
     def test_small_run_with_fixture(self, tmp_path, capsys):

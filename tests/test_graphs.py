@@ -37,7 +37,9 @@ from oracles import (
     automorphisms_oracle,
     bits_oracle,
     canonical_oracle,
+    components_oracle,
     connected_classes_oracle,
+    cut_vertices_oracle,
 )
 from strategies import connected_graphs, graphs
 
@@ -140,6 +142,18 @@ class TestConnectivity:
     def test_k1_k2_convention(self):
         assert is_biconnected(Graph(1))
         assert is_biconnected(complete_graph(2))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_labelled_graph_against_the_oracle(self, n):
+        # Disconnected graphs included: 1 + 2 + 8 + 64 + 1,024 + 32,768.
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
+            connected = components_oracle(g) <= 1
+            cuts = cut_vertices_oracle(g)
+            assert is_connected(g) == connected, g
+            assert cut_vertices(g) == cuts, g
+            assert is_biconnected(g) == (connected and not cuts), g
 
 
 class TestCanonicalForm:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from biclique_lab import graphs, recognition
-from biclique_lab.bicliques import biclique_graph, biclique_graph_with_limit
+from biclique_lab.bicliques import MAX_HOST_ORDER, biclique_graph, biclique_graph_with_limit
 from biclique_lab.graphs import (
     MAX_CANONICAL_ORDER,
     CapabilityError,
@@ -435,11 +435,35 @@ class TestVerifyEntry:
             CatalogueEntry("Bw", 3, BICLIQUE_GRAPH, 2, preimage_graph6="Bw"),
             CatalogueEntry(canonical_form(CROWN.graph), 5, NOT_BICLIQUE_GRAPH, 8),
             CatalogueEntry(canonical_form(CROWN.graph), 5, UNKNOWN, 8),
+            # Malformed evidence reads False instead of raising.
+            CatalogueEntry("Bw", 3, BICLIQUE_GRAPH, 4, preimage_graph6="@"),
+            CatalogueEntry("Bw", 3, BICLIQUE_GRAPH, 4, preimage_graph6="Bw?"),
+            CatalogueEntry(
+                canonical_form(CROWN.graph), 5, NOT_BICLIQUE_GRAPH, 8, obstruction={"check": "no-such-check"}
+            ),
+            CatalogueEntry("A?", 2, UNKNOWN, 4),
+            CatalogueEntry("A?", 2, NOT_BICLIQUE_GRAPH, 4, obstruction={"check": "twin_k2"}),
         ],
-        ids=["wrong-order", "no-preimage", "preimage-beyond-bound", "no-obstruction", "unknown-excluded"],
+        ids=[
+            "wrong-order",
+            "no-preimage",
+            "preimage-beyond-bound",
+            "no-obstruction",
+            "unknown-excluded",
+            "k1-preimage",
+            "unparsable-preimage",
+            "unknown-check",
+            "disconnected-unknown",
+            "disconnected-excluded",
+        ],
     )
     def test_entry_rejected(self, entry):
         assert not verify_entry(entry)
+
+    def test_beyond_the_supported_regime_raises(self):
+        host = write_graph6(complete_graph(MAX_HOST_ORDER + 1))
+        with pytest.raises(CapabilityError):
+            verify_entry(CatalogueEntry("@", 1, BICLIQUE_GRAPH, MAX_HOST_ORDER + 1, preimage_graph6=host))
 
     def test_unknown_entry_passes_the_battery(self):
         assert verify_entry(CatalogueEntry("Bw", 3, UNKNOWN, 4))
